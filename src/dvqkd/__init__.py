@@ -1,9 +1,9 @@
 """Security, nonclassicality and non-Gaussianity analysis of
 discrete-variable QKD over three noisy-channel models."""
 
-from . import boundary, montecarlo, noise_before, photon_stats, security, spdc, thermal_bath, witness
+from . import boundary, channel, montecarlo, noise_before, photon_stats, security, spdc, thermal_bath, witness
 from .noise_before import NoiseBeforeParams
-from .photon_stats import PhotonDistribution, SeriesPolicy
+from .photon_stats import PhotonDistribution
 from .security import KeyRateResult, binary_entropy, qber_threshold, y_threshold
 from .spdc import SpdcParams
 from .thermal_bath import ThermalBathParams
@@ -11,6 +11,7 @@ from .witness import ClickStats, is_nonclassical, is_nongaussian
 
 __all__ = [
     "boundary",
+    "channel",
     "montecarlo",
     "noise_before",
     "photon_stats",
@@ -20,7 +21,6 @@ __all__ = [
     "witness",
     "NoiseBeforeParams",
     "PhotonDistribution",
-    "SeriesPolicy",
     "KeyRateResult",
     "binary_entropy",
     "qber_threshold",

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
-from . import noise_before, spdc, thermal_bath
+from . import channel, noise_before, spdc, thermal_bath
 from .errors import ParameterDomainError
 from .roots import bisect_predicate
 from .security import qber_threshold, y_threshold
@@ -38,13 +38,6 @@ MU_SEED = 1e-12  # bracket-doubling start
 SECURITY_MARGIN = 1e-12  # "secure" means delta_i strictly above this
 DENSE_SCAN_POINTS = 240
 
-MODEL_NAMES = {
-    thermal_bath.ThermalBathParams: "thermal-bath",
-    noise_before.NoiseBeforeParams: "noise-before",
-    spdc.SpdcParams: "spdc",
-}
-
-
 @dataclass(frozen=True)
 class BoundaryPoint:
     T: float
@@ -62,37 +55,19 @@ class BoundaryCurve:
 
 def delta_i(params: ModelParams) -> float:
     """Secret-fraction lower bound for any of the three channel models."""
-    if isinstance(params, thermal_bath.ThermalBathParams):
-        return thermal_bath.key_rate(params).delta_i
-    if isinstance(params, noise_before.NoiseBeforeParams):
-        return noise_before.key_rate(params).delta_i
-    if isinstance(params, spdc.SpdcParams):
-        return spdc.key_rate(params).delta_i
-    raise ParameterDomainError(f"unknown model parameter record: {type(params).__name__}")
+    return channel.model(params).module.key_rate(params).delta_i
 
 
 def model_clicks(params: ModelParams) -> ClickStats:
-    if isinstance(params, thermal_bath.ThermalBathParams):
-        return thermal_bath.click_stats(params)
-    if isinstance(params, noise_before.NoiseBeforeParams):
-        return noise_before.click_stats(params)
-    if isinstance(params, spdc.SpdcParams):
-        return spdc.click_stats(params)
-    raise ParameterDomainError(f"unknown model parameter record: {type(params).__name__}")
+    return channel.model(params).module.click_stats(params)
 
 
 def model_omega(params: ModelParams) -> tuple[float, float]:
-    if isinstance(params, thermal_bath.ThermalBathParams):
-        return thermal_bath.omega(params)
-    if isinstance(params, noise_before.NoiseBeforeParams):
-        return noise_before.omega(params)
-    if isinstance(params, spdc.SpdcParams):
-        return spdc.omega(params)
-    raise ParameterDomainError(f"unknown model parameter record: {type(params).__name__}")
+    return channel.model(params).module.omega(params)
 
 
 def model_name(params: ModelParams) -> str:
-    return MODEL_NAMES[type(params)]
+    return channel.model(params).name
 
 
 def criterion_predicate(params: ModelParams, criterion: str) -> Callable[[float], bool]:
@@ -268,19 +243,24 @@ def mu_max_ng_spdc(T: float) -> float:
 
 
 def t_min_ideal_source(p: float, e: float, d: float) -> float:
-    """Minimal secure transmittance with dark counts, single-photon source models."""
+    """Minimal secure transmittance with dark counts, single-photon source models.
+
+    ``inf`` (no secure transmittance) when e >= 2 Q_th or p = 0.
+    """
     qth = qber_threshold()
-    return d * (1.0 - 2.0 * qth) / (p * (qth - 0.5 * e))
+    margin = p * (qth - 0.5 * e)
+    return d * (1.0 - 2.0 * qth) / margin if margin > 0.0 else math.inf
 
 
 def t_min_spdc_rare_pairs(e: float, d: float) -> float:
     """Minimal secure transmittance of the heralded model when nu << d."""
-    qth = qber_threshold()
-    return d * (1.0 - 2.0 * qth) / (qth - 0.5 * e)
+    return t_min_ideal_source(1.0, e, d)
 
 
 def t_min_spdc_bright_pairs(e: float, nu: float) -> float:
-    """Minimal secure transmittance of the heralded model when d << nu."""
+    """Minimal secure transmittance of the heralded model when d << nu; ``inf`` when e >= 2 Q_th."""
+    if e >= 2.0 * qber_threshold():
+        return math.inf
     return nu / (2.0 * (1.0 - y_threshold(e)))
 
 

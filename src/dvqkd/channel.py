@@ -1,0 +1,138 @@
+"""The channel core of the three models, and the model registry.
+
+Each light component reaching Bob (the signal, a thermal or a Poisson noise
+mode) has its own outcome triple, written without cancellation: (none,
+single, coincidence) on the 50:50 autocorrelation setup, or (0, 1, >= 2)
+photons arriving.  Independent components combine by ``witness.combine``,
+so a model only names its components.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+from functools import reduce
+from types import ModuleType
+from typing import NamedTuple
+
+from . import photon_stats as ps
+from .errors import ParameterDomainError, UndefinedRateError
+from .witness import ClickStats, combine
+
+Triple = tuple[float, float, float]
+
+
+def validate(T: float, mu: float, e: float, d: float, *, p: float = 0.0, nu: float = 0.0) -> None:
+    """Domain checks shared by every model's parameter record."""
+    if not 0.0 <= p <= 1.0:
+        raise ParameterDomainError(f"emission probability must be in [0, 1], got {p}")
+    if not 0.0 <= nu < math.inf:
+        raise ParameterDomainError(f"pair mean must be finite and >= 0, got {nu}")
+    if not 0.0 <= T <= 1.0:
+        raise ParameterDomainError(f"transmittance must be in [0, 1], got {T}")
+    if not 0.0 <= mu < math.inf:
+        raise ParameterDomainError(f"noise mean must be finite and >= 0, got {mu}")
+    if not 0.0 <= e <= 1.0:
+        raise ParameterDomainError(f"depolarization must be in [0, 1], got {e}")
+    if not 0.0 <= d < 1.0:
+        raise ParameterDomainError(f"dark-count probability must be in [0, 1), got {d}")
+
+
+class Model(NamedTuple):
+    """A channel model.  Its module's key_rate, key_statistics, click_stats and
+    omega are looked up at call time, so a replaced attribute takes effect."""
+
+    name: str
+    params_type: type
+    module: ModuleType
+
+
+MODELS: dict[type, Model] = {}
+
+
+def register(name: str, params_type: type, module_name: str) -> None:
+    MODELS[params_type] = Model(name, params_type, sys.modules[module_name])
+
+
+def model(params) -> Model:
+    """The registry entry of a parameter record."""
+    if type(params) not in MODELS:
+        raise ParameterDomainError(f"unknown model parameter record: {type(params).__name__}")
+    return MODELS[type(params)]
+
+
+def single_photon(p: float, T: float) -> Triple:
+    """One photon sent with probability p and kept with T, in either geometry."""
+    return 1.0 - p + p * (1.0 - T), p * T, 0.0  # 1 - pT summed from exact parts
+
+
+def heralded_clicks(nu: float, T: float) -> Triple:
+    """Poisson(nu) pairs given a herald, each signal photon kept with T."""
+    herald = -math.expm1(-nu)
+    lit = -math.expm1(-0.5 * nu * T)  # light at one given detector, times the herald
+    none = math.exp(-nu * T) * -math.expm1(-nu * (1.0 - T)) / herald
+    return none, 2.0 * math.exp(-0.5 * nu * T) * lit / herald, lit * lit / herald
+
+
+def heralded_arrivals(nu: float, T: float) -> Triple:
+    herald = -math.expm1(-nu)
+    x = nu * T
+    none = math.exp(-x) * -math.expm1(-nu * (1.0 - T)) / herald
+    # two kept photons imply a herald, so the unconditioned Poisson(nu T) tail applies
+    more = ps.prob_at_least(ps.PhotonDistribution.poisson(x), 2)
+    return none, x * math.exp(-x) / herald, more / herald
+
+
+def thermal_clicks(m: float) -> Triple:
+    """A thermal mode of mean m, of which h = m/2 reaches each detector."""
+    h = 0.5 * m
+    lit = h / (1.0 + h)
+    none = 1.0 / (1.0 + m)
+    return none, 2.0 * lit * none, 2.0 * lit * (h / (1.0 + m))
+
+
+def thermal_arrivals(m: float) -> Triple:
+    q = m / (1.0 + m)
+    return 1.0 / (1.0 + m), q / (1.0 + m), q * q
+
+
+def poisson_clicks(m: float) -> Triple:
+    """A Poisson mode of mean m: independent Poisson(m/2) light at each detector."""
+    dark = math.exp(-0.5 * m)
+    lit = -math.expm1(-0.5 * m)
+    return dark * dark, 2.0 * lit * dark, lit * lit
+
+
+def poisson_arrivals(m: float) -> Triple:
+    return math.exp(-m), m * math.exp(-m), ps.prob_at_least(ps.PhotonDistribution.poisson(m), 2)
+
+
+def click_stats(*components: Triple) -> ClickStats:
+    none, single, coinc = reduce(combine, components)
+    return ClickStats(p_single=single, p_coincidence=coinc, p_none=none)
+
+
+def arrivals(*components: Triple) -> tuple[float, float]:
+    """(exactly one, more than one) photon reaching Bob."""
+    _, one, more = reduce(lambda a, b: combine(a, b, 1.0), components)
+    return one, more
+
+
+def key_events(tau: float, beta: float, mup: float, e: float, d: float) -> tuple[float, float]:
+    """(accepted, erroneous) events per pulse in the key geometry of an in-line bath.
+
+    tau: the signal reaches Bob; beta: a pulse carrying signal loses all of it;
+    mup: mean bath photons reaching each detector.  Dark counts enter at
+    leading order: they decide an event only when no photon arrived.
+    """
+    pi0 = 1.0 / (1.0 + mup)
+    excess = mup / (1.0 + mup)  # 1 - pi0 without cancellation
+    accepted = tau * pi0 + 2.0 * beta * pi0 * excess + 2.0 * d * beta * pi0**2
+    errors = 0.5 * e * tau * pi0 + beta * pi0 * excess + d * beta * pi0**2
+    return accepted, errors
+
+
+def error_rate(accepted: float, errors: float) -> float:
+    if accepted <= 0.0:
+        raise UndefinedRateError("no accepted events: QBER undefined")
+    return errors / accepted

@@ -8,18 +8,21 @@ with the same configuration are byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import boundary, montecarlo, noise_before, spdc, thermal_bath, witness
-from .errors import ParameterDomainError
+from . import boundary, channel, montecarlo, witness
+from .errors import InfeasibleError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ALL_INFEASIBLE = 3
+
+MAX_SAMPLES = 1e9  # Monte Carlo budget of one mc-validate run
 
 _CRITERION_ALIASES = {
     "security": boundary.SECURITY,
@@ -50,7 +53,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model_args(p: argparse.ArgumentParser, with_mu: bool = True) -> None:
-        p.add_argument("--model", required=True, choices=["thermal-bath", "noise-before", "spdc"])
+        models = sorted(entry.name for entry in channel.MODELS.values())
+        p.add_argument("--model", required=True, choices=models)
         p.add_argument("--p", type=float, default=1.0, help="single-photon emission probability")
         p.add_argument("--nu", type=float, default=0.0, help="mean photon pairs per pump pulse")
         if with_mu:
@@ -121,13 +125,12 @@ def _parse_t_grid(spec: str) -> list[float]:
 
 
 def _make_params(args: argparse.Namespace, t: float, mu: float):
-    if args.model == "thermal-bath":
-        return thermal_bath.ThermalBathParams(p=args.p, T=t, mu=mu, e=args.e, d=args.d)
-    if args.model == "noise-before":
-        return noise_before.NoiseBeforeParams(
-            p=args.p, T=t, mu=mu, e=args.e, d=args.d, noise_kind=args.noise
-        )
-    return spdc.SpdcParams(nu=args.nu, T=t, mu=mu, e=args.e, d=args.d)
+    params_type = next(m.params_type for m in channel.MODELS.values() if m.name == args.model)
+    values = {
+        "p": args.p, "nu": args.nu, "T": t, "mu": mu, "e": args.e, "d": args.d,
+        "noise_kind": args.noise,
+    }
+    return params_type(**{f.name: values[f.name] for f in dataclasses.fields(params_type)})
 
 
 def _resolved_config(args: argparse.Namespace) -> dict:
@@ -193,9 +196,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_point(args: argparse.Namespace) -> int:
     params = _make_params(args, t=args.t, mu=args.mu)
-    rate = _key_rate(params)
-    clicks = boundary.model_clicks(params)
-    omega1, omega2plus = boundary.model_omega(params)
+    model = channel.model(params).module
+    rate = model.key_rate(params)
+    clicks = model.click_stats(params)
+    omega1, omega2plus = model.omega(params)
     row = {
         "model": args.model,
         "T": args.t,
@@ -213,14 +217,6 @@ def _cmd_point(args: argparse.Namespace) -> int:
     }
     _emit([row], list(row.keys()), args)
     return EXIT_OK
-
-
-def _key_rate(params):
-    if isinstance(params, thermal_bath.ThermalBathParams):
-        return thermal_bath.key_rate(params)
-    if isinstance(params, noise_before.NoiseBeforeParams):
-        return noise_before.key_rate(params)
-    return spdc.key_rate(params)
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
@@ -258,6 +254,8 @@ def _cmd_tmin(args: argparse.Namespace) -> int:
 
 
 def _cmd_mc_validate(args: argparse.Namespace) -> int:
+    if not (1.0 <= args.samples <= MAX_SAMPLES and args.samples.is_integer()):
+        raise _CliError(f"samples must be an integer in [1, {MAX_SAMPLES:g}], got {args.samples:g}")
     params = _make_params(args, t=args.t, mu=args.mu)
     config = montecarlo.McConfig(samples=int(args.samples), seed=args.seed)
     analytic = _analytic_reference(params)
@@ -283,32 +281,17 @@ def _cmd_mc_validate(args: argparse.Namespace) -> int:
 
 
 def _analytic_reference(params) -> dict:
-    rate = _key_rate(params)
-    clicks = boundary.model_clicks(params)
-    omega1, omega2plus = boundary.model_omega(params)
-    ref = {
-        "qber": rate.qber,
+    model = channel.model(params).module
+    clicks = model.click_stats(params)
+    omega1, omega2plus = model.omega(params)
+    return {
+        **model.key_statistics(params),
         "p_single": clicks.p_single,
         "p_coincidence": clicks.p_coincidence,
         "p_none": clicks.p_none,
         "omega1": omega1,
         "omega2plus": omega2plus,
     }
-    if isinstance(params, spdc.SpdcParams):
-        stats = spdc.key_stats(params)
-        herald = spdc.herald_prob(params.nu)
-        ref["p_exp"] = stats.p_exp / herald
-        ref["p_multi"] = stats.p_multi / herald
-        ref["y"] = stats.single_photon_fraction
-    else:
-        ref["p_exp"] = rate.p_exp
-    if isinstance(params, noise_before.NoiseBeforeParams):
-        ev = noise_before.event_probs(params)
-        ref["p_exp_signal"] = ev.signal
-        ref["p_exp_noise"] = ev.noise
-        ref["p_exp_noise_signal"] = ev.noise_signal
-        ref["p_exp_dark"] = ev.dark
-    return ref
 
 
 def _cmd_ng_curve(args: argparse.Namespace) -> int:
@@ -335,7 +318,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (_CliError, ParameterDomainError, ValueError) as exc:
+    except (_CliError, ValueError, InfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -15,7 +15,3 @@ class BoundaryDomainError(ValueError):
 
 class InfeasibleError(RuntimeError):
     """A root-finding problem has no solution in its admissible bracket."""
-
-
-class ConvergenceError(RuntimeError):
-    """A truncated series failed to meet its tail tolerance within the term cap."""

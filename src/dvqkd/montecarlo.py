@@ -22,11 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import poisson as _poisson
 
+from . import channel
 from . import photon_stats as ps
 from .errors import ParameterDomainError
-from .noise_before import NoiseBeforeParams
-from .spdc import SpdcParams
-from .thermal_bath import ThermalBathParams
 
 KEY = "key"
 AUTOCORR = "autocorr"
@@ -64,14 +62,6 @@ def _sample_noise(rng: np.random.Generator, dist: ps.PhotonDistribution, n: int)
     return rng.poisson(dist.mean, size=n).astype(np.int64)
 
 
-def _sample_heralded_pairs(rng: np.random.Generator, nu: float, n: int) -> np.ndarray:
-    """Pair counts conditioned on the ideal herald (at least one pair)."""
-    p0 = math.exp(-nu)
-    u = p0 + (1.0 - p0) * rng.random(n)
-    u = np.maximum(u, np.nextafter(p0, 1.0))  # keep strictly above the vacuum mass
-    return _poisson.ppf(u, nu).astype(np.int64)
-
-
 class _Tally:
     def __init__(self) -> None:
         self.counts: dict[str, int] = {}
@@ -92,26 +82,20 @@ def simulate(params, config: McConfig, target: str = KEY) -> dict[str, McEstimat
     """
     if target not in (KEY, AUTOCORR):
         raise ParameterDomainError(f"unknown target geometry: {target!r}")
+    signal, block = _BLOCKS[channel.model(params).name]
     tally = _Tally()
     done = 0
     block_index = 0
     while done < config.samples:
         n = min(_BLOCK, config.samples - done)
         rng = np.random.default_rng([config.seed, block_index])
-        if isinstance(params, ThermalBathParams):
-            _block_thermal_bath(rng, params, n, target, tally)
-        elif isinstance(params, NoiseBeforeParams):
-            _block_noise_before(rng, params, n, target, tally)
-        elif isinstance(params, SpdcParams):
-            _block_spdc(rng, params, n, target, tally)
-        else:
-            raise ParameterDomainError(f"unknown model parameter record: {type(params).__name__}")
+        block(rng, params, n, target, tally, signal)
         done += n
         block_index += 1
-    return _assemble(tally, target, heralded=isinstance(params, SpdcParams))
+    return _assemble(tally, target)
 
 
-def _assemble(tally: _Tally, target: str, heralded: bool) -> dict[str, McEstimate]:
+def _assemble(tally: _Tally, target: str) -> dict[str, McEstimate]:
     n = tally.n
     c = tally.counts
     if target == AUTOCORR:
@@ -134,7 +118,7 @@ def _assemble(tally: _Tally, target: str, heralded: bool) -> dict[str, McEstimat
     ):
         if key in c:
             out[name] = _bernoulli_estimate(c[key], n)
-    if heralded:
+    if "multi" in c:
         out["p_multi"] = _bernoulli_estimate(c["multi"], n)
         out["y"] = _ratio_estimate(
             multi=c["multi"], acc=n_acc, both=c["multi_and_accepted"], n=n
@@ -209,27 +193,42 @@ def _autocorr_clicks(rng: np.random.Generator, tally: _Tally, arrivals: np.ndarr
     )
 
 
-def _block_thermal_bath(
-    rng: np.random.Generator, params: ThermalBathParams, n: int, target: str, tally: _Tally
-) -> None:
+def _single_photon(rng: np.random.Generator, params, n: int) -> tuple[np.ndarray, None]:
+    """Whether the photon a source emits with probability p reaches Bob."""
     emitted = rng.random(n) < params.p
-    transmitted = emitted & (rng.random(n) < params.T)
+    return emitted & (rng.random(n) < params.T), None
+
+
+def _heralded_pairs(rng: np.random.Generator, params, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Signal photons reaching Bob from a heralded pulse, and which pulses held >= 2 pairs.
+
+    Pair counts are drawn conditioned on the ideal herald (at least one pair).
+    """
+    p0 = math.exp(-params.nu)
+    u = p0 + (1.0 - p0) * rng.random(n)
+    u = np.maximum(u, np.nextafter(p0, 1.0))  # keep strictly above the vacuum mass
+    pairs = _poisson.ppf(u, params.nu).astype(np.int64)
+    return rng.binomial(pairs, params.T), pairs >= 2
+
+
+def _block_bath(rng: np.random.Generator, params, n: int, target: str, tally: _Tally, signal) -> None:
+    arriving, multi = signal(rng, params, n)
     bath = params.bath()
     # bath photons couple into Bob's path through the reflected (1-T) port
     right = rng.binomial(_sample_noise(rng, bath, n), 1.0 - params.T)
     wrong = rng.binomial(_sample_noise(rng, bath, n), 1.0 - params.T)
     if target == KEY:
         flipped = _depolarization_flips(rng, params.e, n)
-        _key_clicks(rng, tally, n, transmitted, flipped, right, wrong, params.d)
+        _key_clicks(rng, tally, n, arriving >= 1, flipped, right, wrong, params.d, multi=multi)
     else:
-        _autocorr_clicks(rng, tally, transmitted.astype(np.int64) + right + wrong)
+        _autocorr_clicks(rng, tally, arriving + right + wrong)
 
 
 def _block_noise_before(
-    rng: np.random.Generator, params: NoiseBeforeParams, n: int, target: str, tally: _Tally
+    rng: np.random.Generator, params, n: int, target: str, tally: _Tally, signal
 ) -> None:
-    emitted = rng.random(n) < params.p
-    transmitted = emitted & (rng.random(n) < params.T)
+    arriving, _ = signal(rng, params, n)
+    transmitted = arriving >= 1
     survivors = rng.binomial(_sample_noise(rng, params.noise(), n), params.T)
     if target == KEY:
         # one random polarization per noise pulse; the relative phase never
@@ -251,32 +250,16 @@ def _block_noise_before(
             accepted_dark=(accepted & ~transmitted & ~noisy).sum(),
         )
     else:
-        _autocorr_clicks(rng, tally, transmitted.astype(np.int64) + survivors)
+        _autocorr_clicks(rng, tally, arriving + survivors)
 
 
-def _block_spdc(
-    rng: np.random.Generator, params: SpdcParams, n: int, target: str, tally: _Tally
-) -> None:
-    pairs = _sample_heralded_pairs(rng, params.nu, n)
-    signal_survivors = rng.binomial(pairs, params.T)
-    bath = params.bath()
-    right = rng.binomial(_sample_noise(rng, bath, n), 1.0 - params.T)
-    wrong = rng.binomial(_sample_noise(rng, bath, n), 1.0 - params.T)
-    if target == KEY:
-        flipped = _depolarization_flips(rng, params.e, n)
-        _key_clicks(
-            rng,
-            tally,
-            n,
-            signal_survivors >= 1,
-            flipped,
-            right,
-            wrong,
-            params.d,
-            multi=pairs >= 2,
-        )
-    else:
-        _autocorr_clicks(rng, tally, signal_survivors + right + wrong)
+# registry name -> (signal sampler, noise coupling); the draw order of every
+# block is fixed, so seeded streams stay reproducible
+_BLOCKS = {
+    "thermal-bath": (_single_photon, _block_bath),
+    "noise-before": (_single_photon, _block_noise_before),
+    "spdc": (_heralded_pairs, _block_bath),
+}
 
 
 def same_detector_fraction(j: int, samples: int, seed: int) -> McEstimate:

@@ -4,9 +4,9 @@ An external source injects a pulse of noise photons (thermal or Poisson
 statistics, mean mu) into the channel alongside the signal; every photon is
 then attenuated identically with transmittance T.  All noise photons of a
 pulse share one random linear polarization, drawn uniformly per pulse; the
-analytic expressions integrate that polarization out, leaving the 2/(j+1)
-same-detector weight of the ``r_i`` kernel and the 1/2^j one-arm weight of
-``s_i`` for the autocorrelation geometry.
+key-geometry expressions integrate that polarization out, leaving a weight
+2/(j+1) for j survivors to land in one detector.  The autocorrelation setup
+ignores polarization, so there the noise is one mode of mean mu T.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from . import channel
 from . import photon_stats as ps
-from .errors import ParameterDomainError, UndefinedRateError
+from .errors import ParameterDomainError
 from .security import KeyRateResult, secret_fraction_ideal
 from .witness import ClickStats
 
@@ -31,16 +32,7 @@ class NoiseBeforeParams:
     noise_kind: str = ps.THERMAL
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ParameterDomainError(f"emission probability must be in [0, 1], got {self.p}")
-        if not 0.0 <= self.T <= 1.0:
-            raise ParameterDomainError(f"transmittance must be in [0, 1], got {self.T}")
-        if not self.mu >= 0.0:
-            raise ParameterDomainError(f"noise mean must be >= 0, got {self.mu}")
-        if not 0.0 <= self.e <= 1.0:
-            raise ParameterDomainError(f"depolarization must be in [0, 1], got {self.e}")
-        if not 0.0 <= self.d < 1.0:
-            raise ParameterDomainError(f"dark-count probability must be in [0, 1), got {self.d}")
+        channel.validate(self.T, self.mu, self.e, self.d, p=self.p)
         if self.noise_kind not in (ps.THERMAL, ps.POISSON):
             raise ParameterDomainError(f"unknown noise kind: {self.noise_kind!r}")
 
@@ -57,21 +49,9 @@ class EventProbs(NamedTuple):
     dark: float  # nothing arrives, one dark count fires
 
 
-def _none_transmitted(dist: ps.PhotonDistribution, T: float) -> float:
-    """E[(1-T)^i]: no noise photon survives the channel."""
-    return ps.pgf(dist, 1.0 - T)
-
-
-def _one_transmitted(dist: ps.PhotonDistribution, T: float) -> float:
-    """E[i T (1-T)^(i-1)]: exactly one noise photon survives."""
-    x = dist.mean * T
-    if dist.kind == ps.THERMAL:
-        return x / (1.0 + x) ** 2
-    return x * math.exp(-x)
-
-
 def _same_detector(dist: ps.PhotonDistribution, T: float) -> float:
-    """Sum of p_i r_i: survivors of a polarized noise pulse land in one detector."""
+    """Chance that the survivors of a polarized noise pulse, at least one,
+    all land in one given detector (weight 1/(j+1) for j survivors)."""
     x = dist.mean * T
     if x == 0.0:
         return 0.0
@@ -80,18 +60,10 @@ def _same_detector(dist: ps.PhotonDistribution, T: float) -> float:
     return -math.expm1(-x) / x - math.exp(-x)
 
 
-def _one_arm(dist: ps.PhotonDistribution, T: float) -> float:
-    """Sum of p_i s_i: survivors all exit the same arm of a 50:50 splitter."""
-    if dist.kind == ps.THERMAL:
-        x = dist.mean * T
-        return 1.0 / (1.0 + 0.5 * x) - 1.0 / (1.0 + x)
-    return math.exp(-0.5 * dist.mean * T) - math.exp(-dist.mean * T)
-
-
 def event_probs(params: NoiseBeforeParams) -> EventProbs:
     dist = params.noise()
     s = params.p * params.T
-    none = _none_transmitted(dist, params.T)
+    none = ps.pgf(dist, 1.0 - params.T)  # no noise photon survives the channel
     same = _same_detector(dist, params.T)
     return EventProbs(
         signal=s * none,
@@ -101,80 +73,59 @@ def event_probs(params: NoiseBeforeParams) -> EventProbs:
     )
 
 
+def _key_events(params: NoiseBeforeParams) -> tuple[float, float]:
+    ev = event_probs(params)
+    return sum(ev), 0.5 * (params.e * (ev.signal + ev.noise_signal) + ev.noise + ev.dark)
+
+
 def p_exp(params: NoiseBeforeParams) -> float:
     return sum(event_probs(params))
 
 
 def qber(params: NoiseBeforeParams) -> float:
-    ev = event_probs(params)
-    total = sum(ev)
-    if total <= 0.0:
-        raise UndefinedRateError("no accepted events: QBER undefined")
-    return (params.e * (ev.signal + ev.noise_signal) + ev.noise + ev.dark) / (2.0 * total)
+    return channel.error_rate(*_key_events(params))
 
 
 def key_rate(params: NoiseBeforeParams) -> KeyRateResult:
-    q = qber(params)
+    accepted, errors = _key_events(params)
+    q = channel.error_rate(accepted, errors)
     return KeyRateResult(
         qber=q,
         single_photon_fraction=1.0,
-        p_exp=p_exp(params),
+        p_exp=accepted,
         delta_i=secret_fraction_ideal(q),
     )
 
 
+def key_statistics(params: NoiseBeforeParams) -> dict[str, float]:
+    """Key-geometry statistics per pulse, named as the Monte Carlo oracle names them."""
+    ev = event_probs(params)
+    return {
+        "p_exp": sum(ev),
+        "qber": qber(params),
+        "p_exp_signal": ev.signal,
+        "p_exp_noise": ev.noise,
+        "p_exp_noise_signal": ev.noise_signal,
+        "p_exp_dark": ev.dark,
+    }
+
+
+# noise kind -> (click triple, arrival triple) of the surviving noise mode
+_NOISE_MODE = {
+    ps.THERMAL: (channel.thermal_clicks, channel.thermal_arrivals),
+    ps.POISSON: (channel.poisson_clicks, channel.poisson_arrivals),
+}
+
+
 def click_stats(params: NoiseBeforeParams) -> ClickStats:
-    dist = params.noise()
-    s = params.p * params.T
-    none = _none_transmitted(dist, params.T)
-    one_arm = _one_arm(dist, params.T)
-    p_single = s * none + (2.0 - s) * one_arm
-    p_none = (1.0 - s) * none
-    return ClickStats(
-        p_single=p_single,
-        p_coincidence=_coincidence(params, s),
-        p_none=p_none,
-    )
-
-
-def _coincidence(params: NoiseBeforeParams, s: float) -> float:
-    # exact rearrangement of 1 - P_S - P_none; the naive difference cancels
-    # to rounding noise for weak noise
-    x = params.mu * params.T
-    if params.noise_kind == ps.THERMAL:
-        u = 0.5 * x
-        return u * (2.0 * u + s) / ((1.0 + u) * (1.0 + 2.0 * u))
-    w = -math.expm1(-0.5 * x)
-    return w * (w + s * (1.0 - w))
+    noise = _NOISE_MODE[params.noise_kind][0](params.mu * params.T)
+    return channel.click_stats(channel.single_photon(params.p, params.T), noise)
 
 
 def omega(params: NoiseBeforeParams) -> tuple[float, float]:
     """(exactly one, more than one) photon arriving at Bob per pulse."""
-    dist = params.noise()
-    s = params.p * params.T
-    none = _none_transmitted(dist, params.T)
-    one = _one_transmitted(dist, params.T)
-    omega1 = s * none + (1.0 - s) * one
-    x = params.mu * params.T
-    if params.noise_kind == ps.THERMAL:
-        omega2plus = x * (x + s) / (1.0 + x) ** 2
-    else:
-        omega2plus = float(ps.prob_at_least(ps.PhotonDistribution.poisson(x), 2))
-        omega2plus += s * x * math.exp(-x)
-    return omega1, omega2plus
+    noise = _NOISE_MODE[params.noise_kind][1](params.mu * params.T)
+    return channel.arrivals(channel.single_photon(params.p, params.T), noise)
 
 
-def event_probs_series(
-    params: NoiseBeforeParams, policy: ps.SeriesPolicy = ps.DEFAULT_POLICY
-) -> EventProbs:
-    """Term-by-term evaluation of the event probabilities (reference path)."""
-    dist = params.noise()
-    s = params.p * params.T
-    none = ps.expect(dist, lambda i: (1.0 - params.T) ** i, policy)
-    same = ps.expect(dist, lambda i: ps.r_i(params.T, i), policy)
-    return EventProbs(
-        signal=s * none,
-        noise=2.0 * (1.0 - s) * same,
-        noise_signal=s * same,
-        dark=2.0 * params.d * (1.0 - s) * none,
-    )
+channel.register("noise-before", NoiseBeforeParams, __name__)

@@ -1,28 +1,24 @@
-"""Photon-number distributions and loss/beam-splitter combinatorics.
+"""Photon-number laws of sources and noise.
 
-Two photon-number laws appear throughout: the single-mode thermal law
+Two laws appear throughout: the single-mode thermal law
 p_n = mu^n / (1+mu)^(n+1) and the Poisson law p_n = e^-mu mu^n / n!.
 Both families are closed under binomial loss (thinning a source of mean
 ``mu`` with survival probability ``eta`` gives the same law with mean
-``eta * mu``), which provides exact fast paths for every series used by
-the channel models.  The generic truncated-series evaluator is retained
-as the reference path and for laws evaluated through arbitrary kernels.
+``eta * mu``), so the channel models need only their generating functions
+and tail probabilities in closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from scipy.special import gammainc
 
-from .errors import ConvergenceError, ParameterDomainError
+from .errors import ParameterDomainError
 
 THERMAL = "thermal"
 POISSON = "poisson"
-
-_LOG_SPACE_CUTOFF = 64  # direct powers are exact enough below this order
 
 
 @dataclass(frozen=True)
@@ -47,87 +43,6 @@ class PhotonDistribution:
         return cls(POISSON, mean)
 
 
-@dataclass(frozen=True)
-class SeriesPolicy:
-    """Truncation policy for infinite photon-number sums."""
-
-    abs_tail_tol: float = 1e-14
-    max_terms: int = 4096
-
-    def __post_init__(self) -> None:
-        if not self.abs_tail_tol > 0.0:
-            raise ParameterDomainError("abs_tail_tol must be positive")
-        if self.max_terms < 16:
-            raise ParameterDomainError("max_terms must be at least 16")
-
-
-DEFAULT_POLICY = SeriesPolicy()
-
-
-def pmf(dist: PhotonDistribution, n: int) -> float:
-    """Probability of emitting exactly n photons in one pulse."""
-    if n < 0:
-        raise ParameterDomainError(f"photon number must be >= 0, got {n}")
-    mu = dist.mean
-    if mu == 0.0:
-        return 1.0 if n == 0 else 0.0
-    if dist.kind == THERMAL:
-        if n < _LOG_SPACE_CUTOFF:
-            return mu**n / (1.0 + mu) ** (n + 1)
-        return math.exp(n * math.log(mu) - (n + 1) * math.log1p(mu))
-    if n < _LOG_SPACE_CUTOFF:
-        return math.exp(-mu) * mu**n / math.factorial(n)
-    return math.exp(-mu + n * math.log(mu) - math.lgamma(n + 1.0))
-
-
-def tail_bound(dist: PhotonDistribution, n: int) -> float:
-    """Upper bound on P(N > n), used to stop truncated series.
-
-    Thermal tails are exactly geometric; Poisson tails are bounded by the
-    geometric majorant of the factorial term ratio once n exceeds the mean.
-    """
-    mu = dist.mean
-    if mu == 0.0:
-        return 0.0
-    if dist.kind == THERMAL:
-        q = mu / (1.0 + mu)
-        return q ** (n + 1)
-    if n + 2 <= mu:
-        return 1.0
-    r = mu / (n + 2.0)
-    return pmf(dist, n) * (mu / (n + 1.0)) / (1.0 - r)
-
-
-def expect(
-    dist: PhotonDistribution,
-    f: Callable[[int], float],
-    policy: SeriesPolicy = DEFAULT_POLICY,
-    f_bound: float = 1.0,
-) -> float:
-    """Truncated E[f(N)] for a kernel with |f| <= f_bound.
-
-    Terms are accumulated until the tail majorant times ``f_bound`` drops
-    below the policy tolerance.  Raises ConvergenceError when the term cap
-    is reached first (slowly decaying thermal tails at very large mean).
-    """
-    total = 0.0
-    for n in range(policy.max_terms):
-        total += pmf(dist, n) * f(n)
-        if tail_bound(dist, n) * f_bound < policy.abs_tail_tol:
-            return total
-    raise ConvergenceError(
-        f"series did not reach tail tolerance {policy.abs_tail_tol:g} "
-        f"within {policy.max_terms} terms (kind={dist.kind}, mean={dist.mean:g})"
-    )
-
-
-def thinned(dist: PhotonDistribution, keep: float) -> PhotonDistribution:
-    """Distribution after independent per-photon survival with probability ``keep``."""
-    if not 0.0 <= keep <= 1.0:
-        raise ParameterDomainError(f"survival probability must be in [0, 1], got {keep}")
-    return PhotonDistribution(dist.kind, dist.mean * keep)
-
-
 def pgf(dist: PhotonDistribution, x: float) -> float:
     """Probability generating function E[x^N] for x in [0, 1]."""
     mu = dist.mean
@@ -147,104 +62,3 @@ def prob_at_least(dist: PhotonDistribution, k: int) -> float:
         return (mu / (1.0 + mu)) ** k
     # regularized lower incomplete gamma gives the Poisson upper tail exactly
     return float(gammainc(k, mu))
-
-
-def pi_k(dist: PhotonDistribution, T: float, k: int) -> float:
-    """Probability that k source photons reach the detector through the (1-T) port.
-
-    Each of the n emitted photons independently couples out with probability
-    1-T; both supported laws are closed under this thinning, so the value is
-    the thinned law's pmf at k.  ``pi_k_series`` is the term-by-term reference.
-    """
-    _check_transmittance(T)
-    if k < 0:
-        raise ParameterDomainError(f"photon number must be >= 0, got {k}")
-    return pmf(thinned(dist, 1.0 - T), k)
-
-
-def pi_k_series(
-    dist: PhotonDistribution, T: float, k: int, policy: SeriesPolicy = DEFAULT_POLICY
-) -> float:
-    """Truncated-series evaluation of ``pi_k`` (reference path for the fast one)."""
-    _check_transmittance(T)
-    if k < 0:
-        raise ParameterDomainError(f"photon number must be >= 0, got {k}")
-
-    def kernel(n: int) -> float:
-        if n < k:
-            return 0.0
-        return _binom(n, k) * (1.0 - T) ** k * T ** (n - k)
-
-    return expect(dist, kernel, policy)
-
-
-def t_i(T: float, i: int) -> float:
-    """Probability that at least one of i photons survives transmission T."""
-    _check_transmittance(T)
-    _check_count(i)
-    if i == 0:
-        return 0.0
-    return -math.expm1(i * math.log1p(-T)) if T < 1.0 else 1.0
-
-
-def r_i(T: float, i: int) -> float:
-    """Probability that an i-photon pulse survives into a single detector.
-
-    The pulse carries a common random linear polarization; the j survivors
-    (j >= 1) then all project onto the same output of a polarizing splitter
-    with probability 2/(j+1), half of which is attributed to each detector.
-    """
-    _check_transmittance(T)
-    _check_count(i)
-    total = 0.0
-    for j in range(1, i + 1):
-        total += _binom(i, j) * T**j * (1.0 - T) ** (i - j) / (j + 1.0)
-    return total
-
-
-def s_i(T: float, i: int) -> float:
-    """Probability that survivors of an i-photon pulse all exit one arm of a 50:50 splitter."""
-    _check_transmittance(T)
-    _check_count(i)
-    total = 0.0
-    for j in range(1, i + 1):
-        total += _binom(i, j) * T**j * (1.0 - T) ** (i - j) / 2.0**j
-    return total
-
-
-def u_i(T: float, i: int, k: int, l: int) -> float:
-    """Same-arm weight for an i-photon signal pulse accompanied by k+l extra photons.
-
-    When k+l >= 1 the empty-signal term j=0 contributes (1-T)^i; otherwise at
-    least one signal photon must survive and the sum starts at j=1.
-    """
-    _check_transmittance(T)
-    _check_count(i)
-    if k < 0 or l < 0:
-        raise ParameterDomainError("photon counts must be >= 0")
-    j_start = max(0, 1 - k - l)
-    total = 0.0
-    for j in range(j_start, i + 1):
-        total += _binom(i, j) * T**j * (1.0 - T) ** (i - j) / 2.0**j
-    return total
-
-
-def _binom(n: int, k: int) -> float:
-    # cumulative product in floating point; exact far beyond the truncation range
-    if k < 0 or k > n:
-        return 0.0
-    k = min(k, n - k)
-    out = 1.0
-    for j in range(k):
-        out = out * (n - j) / (j + 1)
-    return out
-
-
-def _check_transmittance(T: float) -> None:
-    if not 0.0 <= T <= 1.0:
-        raise ParameterDomainError(f"transmittance must be in [0, 1], got {T}")
-
-
-def _check_count(i: int) -> None:
-    if i < 0:
-        raise ParameterDomainError(f"photon number must be >= 0, got {i}")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import channel
 from . import photon_stats as ps
 from .errors import ParameterDomainError, UndefinedRateError
 from .security import KeyRateResult, secret_fraction_multiphoton
@@ -29,16 +30,7 @@ class SpdcParams:
     d: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.nu >= 0.0:
-            raise ParameterDomainError(f"pair mean must be >= 0, got {self.nu}")
-        if not 0.0 <= self.T <= 1.0:
-            raise ParameterDomainError(f"transmittance must be in [0, 1], got {self.T}")
-        if not self.mu >= 0.0:
-            raise ParameterDomainError(f"noise mean must be >= 0, got {self.mu}")
-        if not 0.0 <= self.e <= 1.0:
-            raise ParameterDomainError(f"depolarization must be in [0, 1], got {self.e}")
-        if not 0.0 <= self.d < 1.0:
-            raise ParameterDomainError(f"dark-count probability must be in [0, 1), got {self.d}")
+        channel.validate(self.T, self.mu, self.e, self.d, nu=self.nu)
 
     def bath(self) -> ps.PhotonDistribution:
         return ps.PhotonDistribution.thermal(self.mu)
@@ -54,21 +46,6 @@ class SpdcKeyStats:
     qber: float
 
 
-def heralded_pmf(nu: float, i: int) -> float:
-    """Unnormalized weight of an i-photon signal pulse passing the herald.
-
-    Zero for i = 0 (an ideal herald never fires on an empty pulse); the
-    Poisson weights for i >= 1 sum to the herald probability 1 - e^-nu.
-    """
-    if nu < 0.0:
-        raise ParameterDomainError(f"pair mean must be >= 0, got {nu}")
-    if i < 0:
-        raise ParameterDomainError(f"photon number must be >= 0, got {i}")
-    if i == 0:
-        return 0.0
-    return ps.pmf(ps.PhotonDistribution.poisson(nu), i)
-
-
 def herald_prob(nu: float) -> float:
     """Probability that a pump pulse is heralded: 1 - e^-nu."""
     if nu < 0.0:
@@ -76,53 +53,15 @@ def herald_prob(nu: float) -> float:
     return -math.expm1(-nu)
 
 
-def pair_plus(params: SpdcParams, k: int, l: int) -> float:
-    """>= 1 signal photon arrives while (k, l) bath photons reach the detectors."""
-    bath = params.bath()
-    return _transmit(params) * ps.pi_k(bath, params.T, k) * ps.pi_k(bath, params.T, l)
-
-
-def pair_minus(params: SpdcParams, k: int, l: int) -> float:
-    """Heralded pulse fully lost while (k, l) bath photons arrive."""
-    bath = params.bath()
-    return _blocked(params) * ps.pi_k(bath, params.T, k) * ps.pi_k(bath, params.T, l)
-
-
-def _transmit(params: SpdcParams) -> float:
-    # sum over i of q_i t_i = P(heralded and >= 1 signal photon survives)
-    return -math.expm1(-params.nu * params.T)
-
-
-def _blocked(params: SpdcParams) -> float:
-    # sum over i of q_i (1 - t_i), kept as a difference of expm1 terms
-    return math.expm1(-params.nu * params.T) - math.expm1(-params.nu)
-
-
-def _pi_pieces(params: SpdcParams) -> tuple[float, float, float]:
-    mup = params.mu * (1.0 - params.T)
-    pi0 = 1.0 / (1.0 + mup)
-    pi1 = mup / (1.0 + mup) ** 2
-    g_half = 1.0 / (1.0 + 0.5 * mup)
-    return pi0, pi1, g_half
-
-
 def key_stats(params: SpdcParams) -> SpdcKeyStats:
     """Accepted-event probability, multiphoton weight, y and QBER."""
-    tau = _transmit(params)
-    blocked = _blocked(params)
-    pi0, _, _ = _pi_pieces(params)
-    mup = params.mu * (1.0 - params.T)
-    excess = mup / (1.0 + mup)  # 1 - pi_0 without cancellation
-    pexp = tau * pi0 + 2.0 * blocked * pi0 * excess + 2.0 * params.d * blocked * pi0**2
-    if pexp <= 0.0:
-        raise UndefinedRateError("no accepted events: key statistics undefined")
-    p_multi = float(ps.prob_at_least(ps.PhotonDistribution.poisson(params.nu), 2))
+    nu, T = params.nu, params.T
+    tau = -math.expm1(-nu * T)  # heralded and >= 1 signal photon survives
+    blocked = math.expm1(-nu * T) - math.expm1(-nu)  # heralded, every signal photon lost
+    pexp, errors = channel.key_events(tau, blocked, params.mu * (1.0 - T), params.e, params.d)
+    q = channel.error_rate(pexp, errors)
+    p_multi = float(ps.prob_at_least(ps.PhotonDistribution.poisson(nu), 2))
     y = max(0.0, (pexp - p_multi) / pexp)
-    q = (
-        0.5 * params.e * tau * pi0
-        + blocked * pi0 * excess
-        + params.d * blocked * pi0**2
-    ) / pexp
     return SpdcKeyStats(p_exp=pexp, p_multi=p_multi, single_photon_fraction=y, qber=q)
 
 
@@ -136,34 +75,37 @@ def key_rate(params: SpdcParams) -> KeyRateResult:
     )
 
 
+def key_statistics(params: SpdcParams) -> dict[str, float]:
+    """Key-geometry statistics per heralded pulse, named as the Monte Carlo oracle names them."""
+    stats = key_stats(params)
+    herald = herald_prob(params.nu)
+    return {
+        "p_exp": stats.p_exp / herald,
+        "qber": stats.qber,
+        "p_multi": stats.p_multi / herald,
+        "y": stats.single_photon_fraction,
+    }
+
+
 def click_stats(params: SpdcParams) -> ClickStats:
     """Herald-conditioned autocorrelation statistics (ideal detectors)."""
     if params.nu <= 0.0:
         raise UndefinedRateError("no heralds at nu = 0: click statistics undefined")
-    herald = herald_prob(params.nu)
-    pi0, _, g_half = _pi_pieces(params)
-    # E over heralded weights of (1 - T/2)^i and (1 - T)^i, as expm1 differences
-    half_kept = math.expm1(-0.5 * params.nu * params.T) - math.expm1(-params.nu)
-    none_kept = math.expm1(-params.nu * params.T) - math.expm1(-params.nu)
-    p_single = (2.0 * half_kept * g_half**2 - 2.0 * none_kept * pi0**2) / herald
-    p_none = none_kept * pi0**2 / herald
-    p_coinc = (herald - 2.0 * half_kept * g_half**2 + none_kept * pi0**2) / herald
-    return ClickStats(p_single=p_single, p_coincidence=p_coinc, p_none=p_none)
+    bath = channel.thermal_clicks(params.mu * (1.0 - params.T))
+    return channel.click_stats(channel.heralded_clicks(params.nu, params.T), bath, bath)
 
 
 def omega(params: SpdcParams) -> tuple[float, float]:
     """(exactly one, more than one) photon arriving at Bob per heralded pulse."""
     if params.nu <= 0.0:
         raise UndefinedRateError("no heralds at nu = 0: arrival statistics undefined")
-    herald = herald_prob(params.nu)
-    pi0, pi1, _ = _pi_pieces(params)
-    none_kept = math.expm1(-params.nu * params.T) - math.expm1(-params.nu)
-    one_signal = params.nu * params.T * math.exp(-params.nu * params.T)
-    omega1 = (one_signal * pi0**2 + 2.0 * pi0 * pi1 * none_kept) / herald
-    omega2plus = (herald - one_signal * pi0**2 - 2.0 * pi0 * pi1 * none_kept - none_kept * pi0**2) / herald
-    return omega1, max(0.0, omega2plus)
+    bath = channel.thermal_arrivals(params.mu * (1.0 - params.T))
+    return channel.arrivals(channel.heralded_arrivals(params.nu, params.T), bath, bath)
 
 
 def qber_small_t_approx(params: SpdcParams) -> float:
     """Small-T, small-nu QBER form (e T / 2 + d) / (T + 2 d)."""
     return (0.5 * params.e * params.T + params.d) / (params.T + 2.0 * params.d)
+
+
+channel.register("spdc", SpdcParams, __name__)

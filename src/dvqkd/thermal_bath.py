@@ -3,17 +3,17 @@
 Alice emits one photon with probability p per pulse.  The lossy channel of
 transmittance T couples each of the two polarization modes to its own
 thermal bath of mean mu; bath photons enter Bob's path through the
-reflected port, so k of them arrive with probability pi_k built on the
-(1-T) coupling.  Polarization is depolarized with probability e and Bob's
-gated detectors fire spuriously with probability d.
+reflected port, so each mode delivers a thermal mode of mean mu(1-T).
+Polarization is depolarized with probability e and Bob's gated detectors
+fire spuriously with probability d.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import channel
 from . import photon_stats as ps
-from .errors import ParameterDomainError, UndefinedRateError
 from .security import KeyRateResult, secret_fraction_ideal
 from .witness import ClickStats
 
@@ -27,129 +27,54 @@ class ThermalBathParams:
     d: float = 0.0  # dark-count probability per detector gate
 
     def __post_init__(self) -> None:
-        _validate_common(self.p, self.T, self.mu, self.e, self.d)
+        channel.validate(self.T, self.mu, self.e, self.d, p=self.p)
 
     def bath(self) -> ps.PhotonDistribution:
         return ps.PhotonDistribution.thermal(self.mu)
 
 
-def _validate_common(p: float, T: float, mu: float, e: float, d: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise ParameterDomainError(f"emission probability must be in [0, 1], got {p}")
-    if not 0.0 <= T <= 1.0:
-        raise ParameterDomainError(f"transmittance must be in [0, 1], got {T}")
-    if not mu >= 0.0:
-        raise ParameterDomainError(f"noise mean must be >= 0, got {mu}")
-    if not 0.0 <= e <= 1.0:
-        raise ParameterDomainError(f"depolarization must be in [0, 1], got {e}")
-    if not 0.0 <= d < 1.0:
-        raise ParameterDomainError(f"dark-count probability must be in [0, 1), got {d}")
-
-
-def p_plus(params: ThermalBathParams, k: int, l: int) -> float:
-    """Signal arrives and (k, l) bath photons reach the (right, wrong) detector."""
-    bath = params.bath()
-    return params.p * params.T * ps.pi_k(bath, params.T, k) * ps.pi_k(bath, params.T, l)
-
-
-def p_minus(params: ThermalBathParams, k: int, l: int) -> float:
-    """Signal absent or lost while (k, l) bath photons arrive."""
-    bath = params.bath()
-    return (1.0 - params.p * params.T) * ps.pi_k(bath, params.T, k) * ps.pi_k(bath, params.T, l)
-
-
-def _arrival_pieces(params: ThermalBathParams) -> tuple[float, float, float]:
-    """(pi_0, pi_1, pgf at 1/2) of the bath photons that reach one detector."""
-    arriving = ps.thinned(params.bath(), 1.0 - params.T)
-    mup = arriving.mean
-    pi0 = 1.0 / (1.0 + mup)
-    pi1 = mup / (1.0 + mup) ** 2
-    g_half = 1.0 / (1.0 + 0.5 * mup)
-    return pi0, pi1, g_half
+def _key_events(params: ThermalBathParams) -> tuple[float, float]:
+    s = params.p * params.T
+    return channel.key_events(s, 1.0 - s, params.mu * (1.0 - params.T), params.e, params.d)
 
 
 def p_exp(params: ThermalBathParams) -> float:
     """Probability per pulse that Alice and Bob accept a (single-click) event."""
-    s = params.p * params.T
-    pi0, _, _ = _arrival_pieces(params)
-    one_minus_pi0 = _excess(params)
-    return s * pi0 + 2.0 * (1.0 - s) * pi0 * one_minus_pi0 + 2.0 * params.d * (1.0 - s) * pi0**2
-
-
-def _excess(params: ThermalBathParams) -> float:
-    # 1 - pi_0 written without cancellation
-    mup = params.mu * (1.0 - params.T)
-    return mup / (1.0 + mup)
+    return _key_events(params)[0]
 
 
 def qber(params: ThermalBathParams) -> float:
     """Expected quantum bit error rate among accepted events."""
-    s = params.p * params.T
-    pi0, _, _ = _arrival_pieces(params)
-    one_minus_pi0 = _excess(params)
-    denom = p_exp(params)
-    if denom <= 0.0:
-        raise UndefinedRateError("no accepted events: QBER undefined")
-    num = (
-        0.5 * params.e * s * pi0
-        + (1.0 - s) * pi0 * one_minus_pi0
-        + params.d * (1.0 - s) * pi0**2
-    )
-    return num / denom
+    return channel.error_rate(*_key_events(params))
 
 
 def key_rate(params: ThermalBathParams) -> KeyRateResult:
-    q = qber(params)
+    accepted, errors = _key_events(params)
+    q = channel.error_rate(accepted, errors)
     return KeyRateResult(
         qber=q,
         single_photon_fraction=1.0,
-        p_exp=p_exp(params),
+        p_exp=accepted,
         delta_i=secret_fraction_ideal(q),
     )
 
 
-def click_stats(params: ThermalBathParams) -> ClickStats:
-    """Autocorrelation statistics with ideal detectors after a 50:50 splitter.
+def key_statistics(params: ThermalBathParams) -> dict[str, float]:
+    """Key-geometry statistics per pulse, named as the Monte Carlo oracle names them."""
+    rate = key_rate(params)
+    return {"p_exp": rate.p_exp, "qber": rate.qber}
 
-    The coincidence probability is evaluated from an expanded polynomial in
-    a = mu(1-T)/2 rather than as 1 - P_S - P_none, which would cancel to
-    rounding noise in the weak-noise regime where the witnesses operate.
-    """
-    s = params.p * params.T
-    pi0, _, g_half = _arrival_pieces(params)
-    a = 0.5 * params.mu * (1.0 - params.T)
-    p_single = (2.0 - s) * g_half**2 - 2.0 * (1.0 - s) * pi0**2
-    num = 2.0 * s * a + (6.0 + 3.0 * s) * a**2 + 12.0 * a**3 + 4.0 * a**4
-    p_coinc = num / ((1.0 + a) ** 2 * (1.0 + 2.0 * a) ** 2)
-    p_none = (1.0 - s) * pi0**2
-    return ClickStats(p_single=p_single, p_coincidence=p_coinc, p_none=p_none)
+
+def click_stats(params: ThermalBathParams) -> ClickStats:
+    """Autocorrelation statistics with ideal detectors after a 50:50 splitter."""
+    bath = channel.thermal_clicks(params.mu * (1.0 - params.T))
+    return channel.click_stats(channel.single_photon(params.p, params.T), bath, bath)
 
 
 def omega(params: ThermalBathParams) -> tuple[float, float]:
     """(exactly one, more than one) photon arriving at Bob per pulse."""
-    s = params.p * params.T
-    pi0, pi1, _ = _arrival_pieces(params)
-    omega1 = s * pi0**2 + 2.0 * (1.0 - s) * pi1 * pi0
-    a = 0.5 * params.mu * (1.0 - params.T)
-    omega2plus = (4.0 * s * a + 12.0 * a**2 + 8.0 * a**3) / (1.0 + 2.0 * a) ** 3
-    return omega1, omega2plus
-
-
-def p_exp_series(params: ThermalBathParams, policy: ps.SeriesPolicy = ps.DEFAULT_POLICY) -> float:
-    """Accepted-event probability assembled term by term (reference path)."""
-    bath = params.bath()
-    s = params.p * params.T
-    pi0 = ps.pi_k_series(bath, params.T, 0, policy)
-    total_plus = 0.0
-    total_minus = 0.0
-    for k in range(policy.max_terms):
-        pik = ps.pi_k_series(bath, params.T, k, policy)
-        total_plus += s * pik * pi0
-        if k >= 1:
-            total_minus += (1.0 - s) * pik * pi0
-        if ps.tail_bound(ps.thinned(bath, 1.0 - params.T), k) < policy.abs_tail_tol:
-            break
-    return total_plus + 2.0 * total_minus + 2.0 * params.d * (1.0 - s) * pi0 * pi0
+    bath = channel.thermal_arrivals(params.mu * (1.0 - params.T))
+    return channel.arrivals(channel.single_photon(params.p, params.T), bath, bath)
 
 
 def qber_small_t_approx(params: ThermalBathParams) -> float:
@@ -157,3 +82,6 @@ def qber_small_t_approx(params: ThermalBathParams) -> float:
     s = params.p * params.T
     frac = params.mu / (1.0 + params.mu)
     return (0.5 * params.e * s + frac) / (s + 2.0 * frac)
+
+
+channel.register("thermal-bath", ThermalBathParams, __name__)

@@ -243,19 +243,33 @@ def simplified_ng(omega1: float, omega2plus: float) -> bool:
     return omega1**3 > omega2plus
 
 
+def combine(a: tuple, b: tuple, weight: float = 0.5) -> tuple[float, float, float]:
+    """Outcome triple (none, single, both) of two independent light components.
+
+    ``weight`` is the chance that two singles make a "both": 1/2 for the two
+    detectors of the 50:50 setup, 1 for arrival counts (0, 1, >= 2).  No
+    term is a difference, so small outcomes keep their relative precision.
+    """
+    n1, s1, c1 = a
+    n2, s2, c2 = b
+    cross = s1 * s2
+    return (
+        n1 * n2,
+        s1 * n2 + n1 * s2 + (1.0 - weight) * cross,
+        c1 + c2 - c1 * c2 + weight * cross,
+    )
+
+
 def apply_detector_darkcounts(stats: ClickStats, d: float) -> ClickStats:
     """Click statistics as read from detectors firing spuriously with probability d.
 
-    The single-click mass splits evenly between the detectors; each detector
-    adds an independent dark count.  No-click events need one dark count to
-    become singles and two to become coincidences; single-click events are
-    promoted to coincidences by a dark count on the silent detector.
+    Each detector adds an independent dark count: one more light component
+    with triple ((1-d)^2, 2d(1-d), d^2).
     """
     if not 0.0 <= d < 1.0:
         raise ParameterDomainError(f"dark-count probability must be in [0, 1), got {d}")
-    ps, pc, pn = stats.p_single, stats.p_coincidence, stats.p_none
-    return ClickStats(
-        p_single=ps * (1.0 - d) + 2.0 * pn * d * (1.0 - d),
-        p_coincidence=pc + ps * d + pn * d * d,
-        p_none=pn * (1.0 - d) ** 2,
+    none, single, coinc = combine(
+        (stats.p_none, stats.p_single, stats.p_coincidence),
+        ((1.0 - d) ** 2, 2.0 * d * (1.0 - d), d * d),
     )
+    return ClickStats(p_single=single, p_coincidence=coinc, p_none=none)

@@ -1,0 +1,289 @@
+"""Reference evaluators that the tests compare the library against.
+
+Truncated photon-number series, per-photon loss and routing kernels, and
+term-by-term assemblies of the model probabilities.  They are slow and
+exact to the series tolerance; the library's closed forms must agree with
+them.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable
+
+from dvqkd.errors import ParameterDomainError
+from dvqkd.noise_before import EventProbs, NoiseBeforeParams
+from dvqkd.photon_stats import THERMAL, PhotonDistribution
+from dvqkd.spdc import SpdcParams
+from dvqkd.thermal_bath import ThermalBathParams
+
+_LOG_SPACE_CUTOFF = 64  # direct powers are exact enough below this order
+
+
+class ConvergenceError(RuntimeError):
+    """A truncated series failed to meet its tail tolerance within the term cap."""
+
+
+@dataclass(frozen=True)
+class SeriesPolicy:
+    """Truncation policy for infinite photon-number sums."""
+
+    abs_tail_tol: float = 1e-14
+    max_terms: int = 4096
+
+    def __post_init__(self) -> None:
+        if not self.abs_tail_tol > 0.0:
+            raise ParameterDomainError("abs_tail_tol must be positive")
+        if self.max_terms < 16:
+            raise ParameterDomainError("max_terms must be at least 16")
+
+
+DEFAULT_POLICY = SeriesPolicy()
+
+
+def pmf(dist: PhotonDistribution, n: int) -> float:
+    """Probability of emitting exactly n photons in one pulse."""
+    if n < 0:
+        raise ParameterDomainError(f"photon number must be >= 0, got {n}")
+    mu = dist.mean
+    if mu == 0.0:
+        return 1.0 if n == 0 else 0.0
+    if dist.kind == THERMAL:
+        if n < _LOG_SPACE_CUTOFF:
+            return mu**n / (1.0 + mu) ** (n + 1)
+        return math.exp(n * math.log(mu) - (n + 1) * math.log1p(mu))
+    if n < _LOG_SPACE_CUTOFF:
+        return math.exp(-mu) * mu**n / math.factorial(n)
+    return math.exp(-mu + n * math.log(mu) - math.lgamma(n + 1.0))
+
+
+def tail_bound(dist: PhotonDistribution, n: int) -> float:
+    """Upper bound on P(N > n), used to stop truncated series.
+
+    Thermal tails are exactly geometric; Poisson tails are bounded by the
+    geometric majorant of the factorial term ratio once n exceeds the mean.
+    """
+    mu = dist.mean
+    if mu == 0.0:
+        return 0.0
+    if dist.kind == THERMAL:
+        q = mu / (1.0 + mu)
+        return q ** (n + 1)
+    if n + 2 <= mu:
+        return 1.0
+    r = mu / (n + 2.0)
+    return pmf(dist, n) * (mu / (n + 1.0)) / (1.0 - r)
+
+
+def expect(
+    dist: PhotonDistribution,
+    f: Callable[[int], float],
+    policy: SeriesPolicy = DEFAULT_POLICY,
+    f_bound: float = 1.0,
+) -> float:
+    """Truncated E[f(N)] for a kernel with |f| <= f_bound.
+
+    Terms are accumulated until the tail majorant times ``f_bound`` drops
+    below the policy tolerance.  Raises ConvergenceError when the term cap
+    is reached first (slowly decaying thermal tails at very large mean).
+    """
+    total = 0.0
+    for n in range(policy.max_terms):
+        total += pmf(dist, n) * f(n)
+        if tail_bound(dist, n) * f_bound < policy.abs_tail_tol:
+            return total
+    raise ConvergenceError(
+        f"series did not reach tail tolerance {policy.abs_tail_tol:g} "
+        f"within {policy.max_terms} terms (kind={dist.kind}, mean={dist.mean:g})"
+    )
+
+
+def thinned(dist: PhotonDistribution, keep: float) -> PhotonDistribution:
+    """Distribution after independent per-photon survival with probability ``keep``."""
+    if not 0.0 <= keep <= 1.0:
+        raise ParameterDomainError(f"survival probability must be in [0, 1], got {keep}")
+    return PhotonDistribution(dist.kind, dist.mean * keep)
+
+
+def pi_k(dist: PhotonDistribution, T: float, k: int) -> float:
+    """Probability that k source photons reach the detector through the (1-T) port.
+
+    Each of the n emitted photons independently couples out with probability
+    1-T; both supported laws are closed under this thinning, so the value is
+    the thinned law's pmf at k.  ``pi_k_series`` is the term-by-term reference.
+    """
+    _check_transmittance(T)
+    if k < 0:
+        raise ParameterDomainError(f"photon number must be >= 0, got {k}")
+    return pmf(thinned(dist, 1.0 - T), k)
+
+
+def pi_k_series(
+    dist: PhotonDistribution, T: float, k: int, policy: SeriesPolicy = DEFAULT_POLICY
+) -> float:
+    """Truncated-series evaluation of ``pi_k`` (reference path for the fast one)."""
+    _check_transmittance(T)
+    if k < 0:
+        raise ParameterDomainError(f"photon number must be >= 0, got {k}")
+
+    def kernel(n: int) -> float:
+        if n < k:
+            return 0.0
+        return _binom(n, k) * (1.0 - T) ** k * T ** (n - k)
+
+    return expect(dist, kernel, policy)
+
+
+def t_i(T: float, i: int) -> float:
+    """Probability that at least one of i photons survives transmission T."""
+    _check_transmittance(T)
+    _check_count(i)
+    if i == 0:
+        return 0.0
+    return -math.expm1(i * math.log1p(-T)) if T < 1.0 else 1.0
+
+
+def r_i(T: float, i: int) -> float:
+    """Probability that an i-photon pulse survives into a single detector.
+
+    The pulse carries a common random linear polarization; the j survivors
+    (j >= 1) then all project onto the same output of a polarizing splitter
+    with probability 2/(j+1), half of which is attributed to each detector.
+    """
+    _check_transmittance(T)
+    _check_count(i)
+    total = 0.0
+    for j in range(1, i + 1):
+        total += _binom(i, j) * T**j * (1.0 - T) ** (i - j) / (j + 1.0)
+    return total
+
+
+def s_i(T: float, i: int) -> float:
+    """Probability that survivors of an i-photon pulse all exit one arm of a 50:50 splitter."""
+    _check_transmittance(T)
+    _check_count(i)
+    total = 0.0
+    for j in range(1, i + 1):
+        total += _binom(i, j) * T**j * (1.0 - T) ** (i - j) / 2.0**j
+    return total
+
+
+def u_i(T: float, i: int, k: int, l: int) -> float:
+    """Same-arm weight for an i-photon signal pulse accompanied by k+l extra photons.
+
+    When k+l >= 1 the empty-signal term j=0 contributes (1-T)^i; otherwise at
+    least one signal photon must survive and the sum starts at j=1.
+    """
+    _check_transmittance(T)
+    _check_count(i)
+    if k < 0 or l < 0:
+        raise ParameterDomainError("photon counts must be >= 0")
+    j_start = max(0, 1 - k - l)
+    total = 0.0
+    for j in range(j_start, i + 1):
+        total += _binom(i, j) * T**j * (1.0 - T) ** (i - j) / 2.0**j
+    return total
+
+
+def _binom(n: int, k: int) -> float:
+    # cumulative product in floating point; exact far beyond the truncation range
+    if k < 0 or k > n:
+        return 0.0
+    k = min(k, n - k)
+    out = 1.0
+    for j in range(k):
+        out = out * (n - j) / (j + 1)
+    return out
+
+
+def _check_transmittance(T: float) -> None:
+    if not 0.0 <= T <= 1.0:
+        raise ParameterDomainError(f"transmittance must be in [0, 1], got {T}")
+
+
+def _check_count(i: int) -> None:
+    if i < 0:
+        raise ParameterDomainError(f"photon number must be >= 0, got {i}")
+
+
+def p_plus(params: ThermalBathParams, k: int, l: int) -> float:
+    """Signal arrives and (k, l) bath photons reach the (right, wrong) detector."""
+    bath = params.bath()
+    return params.p * params.T * pi_k(bath, params.T, k) * pi_k(bath, params.T, l)
+
+
+def p_minus(params: ThermalBathParams, k: int, l: int) -> float:
+    """Signal absent or lost while (k, l) bath photons arrive."""
+    bath = params.bath()
+    return (1.0 - params.p * params.T) * pi_k(bath, params.T, k) * pi_k(bath, params.T, l)
+
+
+def p_exp_series(params: ThermalBathParams, policy: SeriesPolicy = DEFAULT_POLICY) -> float:
+    """Accepted-event probability assembled term by term (reference path)."""
+    bath = params.bath()
+    s = params.p * params.T
+    pi0 = pi_k_series(bath, params.T, 0, policy)
+    total_plus = 0.0
+    total_minus = 0.0
+    for k in range(policy.max_terms):
+        pik = pi_k_series(bath, params.T, k, policy)
+        total_plus += s * pik * pi0
+        if k >= 1:
+            total_minus += (1.0 - s) * pik * pi0
+        if tail_bound(thinned(bath, 1.0 - params.T), k) < policy.abs_tail_tol:
+            break
+    return total_plus + 2.0 * total_minus + 2.0 * params.d * (1.0 - s) * pi0 * pi0
+
+
+def event_probs_series(
+    params: NoiseBeforeParams, policy: SeriesPolicy = DEFAULT_POLICY
+) -> EventProbs:
+    """Term-by-term evaluation of the event probabilities (reference path)."""
+    dist = params.noise()
+    s = params.p * params.T
+    none = expect(dist, lambda i: (1.0 - params.T) ** i, policy)
+    same = expect(dist, lambda i: r_i(params.T, i), policy)
+    return EventProbs(
+        signal=s * none,
+        noise=2.0 * (1.0 - s) * same,
+        noise_signal=s * same,
+        dark=2.0 * params.d * (1.0 - s) * none,
+    )
+
+
+def heralded_pmf(nu: float, i: int) -> float:
+    """Unnormalized weight of an i-photon signal pulse passing the herald.
+
+    Zero for i = 0 (an ideal herald never fires on an empty pulse); the
+    Poisson weights for i >= 1 sum to the herald probability 1 - e^-nu.
+    """
+    if nu < 0.0:
+        raise ParameterDomainError(f"pair mean must be >= 0, got {nu}")
+    if i < 0:
+        raise ParameterDomainError(f"photon number must be >= 0, got {i}")
+    if i == 0:
+        return 0.0
+    return pmf(PhotonDistribution.poisson(nu), i)
+
+
+def pair_plus(params: SpdcParams, k: int, l: int) -> float:
+    """>= 1 signal photon arrives while (k, l) bath photons reach the detectors."""
+    bath = params.bath()
+    return _transmit(params) * pi_k(bath, params.T, k) * pi_k(bath, params.T, l)
+
+
+def pair_minus(params: SpdcParams, k: int, l: int) -> float:
+    """Heralded pulse fully lost while (k, l) bath photons arrive."""
+    bath = params.bath()
+    return _blocked(params) * pi_k(bath, params.T, k) * pi_k(bath, params.T, l)
+
+
+def _transmit(params: SpdcParams) -> float:
+    # sum over i of q_i t_i = P(heralded and >= 1 signal photon survives)
+    return -math.expm1(-params.nu * params.T)
+
+
+def _blocked(params: SpdcParams) -> float:
+    # sum over i of q_i (1 - t_i), kept as a difference of expm1 terms
+    return math.expm1(-params.nu * params.T) - math.expm1(-params.nu)

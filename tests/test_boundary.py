@@ -144,6 +144,12 @@ class TestAnalyticFormulas:
         assert boundary.mu_max_security_thermal_bath(1.0, 0.5, 1e-3) == 0.0
         assert boundary.mu_max_security_noise_before(1.0, 0.23) == 0.0
 
+    def test_depolarization_beyond_threshold_has_no_minimal_transmittance(self):
+        assert boundary.t_min_ideal_source(1.0, 0.3, 1e-3) == math.inf
+        assert boundary.t_min_ideal_source(0.0, 0.0, 1e-3) == math.inf
+        assert boundary.t_min_spdc_rare_pairs(0.3, 1e-3) == math.inf
+        assert boundary.t_min_spdc_bright_pairs(0.3, 1e-2) == math.inf
+
     def test_scalings(self):
         assert boundary.mu_max_nc_thermal_bath(0.5, 0.01) == pytest.approx(
             0.5 * 0.01 / math.sqrt(2.0)

@@ -1,8 +1,12 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from dvqkd import cli
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
 def run(capsys, *argv):
@@ -212,3 +216,62 @@ def test_missing_command_is_config_error(capsys):
     code, _, err = run(capsys)
     assert code == 2
     assert err.startswith("error: ")
+
+
+def _readme_examples():
+    """(reference name, argv, file written by --out or None) of each README CLI example."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    examples = []
+    for command in block.replace("\\\n", " ").splitlines():
+        if command.startswith("dvqkd "):
+            argv = shlex.split(command)[1:]
+            out = argv[argv.index("--out") + 1] if "--out" in argv else None
+            examples.append(pytest.param(argv[0], argv, out, id=argv[0]))
+    return examples
+
+
+# cells of the reference that cancelled in their old closed forms, with their
+# 60-digit mpmath values; every other cell must match byte for byte
+CORRECTED = {
+    ("point", "p_coincidence"): 1.24020594287e-08,
+    ("point", "omega2plus"): 2.48040983696e-08,
+}
+
+
+@pytest.mark.parametrize("name, argv, out_file", _readme_examples())
+def test_readme_example_matches_reference(name, argv, out_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 0
+    text = (tmp_path / out_file).read_text() if out_file else capsys.readouterr().out
+    want = (REFERENCE / f"{name}.csv").read_text()
+    corrected = {column: value for (command, column), value in CORRECTED.items() if command == name}
+    if not corrected:
+        assert text == want
+        return
+    got_lines, want_lines = text.splitlines(), want.splitlines()
+    assert len(got_lines) == len(want_lines) and got_lines[0] == want_lines[0]
+    header = want_lines[0].split(",")
+    for got_line, want_line in zip(got_lines[1:], want_lines[1:]):
+        for column, got, ref in zip(header, got_line.split(","), want_line.split(",")):
+            if column in corrected:
+                assert float(got) == pytest.approx(corrected[column], rel=1e-8), column
+            else:
+                assert got == ref, column
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tmin", "--model", "spdc", "--nu", "0.01", "--e", "0.3"],
+        ["tmin", "--model", "thermal-bath", "--e", "0.3", "--d", "1e-3"],
+        ["point", "--model", "noise-before", "--t", "1e-3", "--mu", "1e300"],
+        ["mc-validate", "--model", "thermal-bath", "--samples", "inf"],
+        ["mc-validate", "--model", "thermal-bath", "--samples", "1e20"],
+    ],
+)
+def test_extreme_inputs_end_in_an_exit_code(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 2, 3)
+    assert len(err.splitlines()) <= 1
+    assert "Traceback" not in err
