@@ -35,6 +35,7 @@ CRITERIA = (SECURITY, NONCLASSICAL, NONGAUSSIAN)
 
 MU_CEILING = 1e3  # thermal means beyond this are unphysical for the setting
 MU_SEED = 1e-12  # bracket-doubling start
+T_FLOOR = 1e-9  # smallest transmittance t_min_numeric probes
 SECURITY_MARGIN = 1e-12  # "secure" means delta_i strictly above this
 DENSE_SCAN_POINTS = 240
 
@@ -50,7 +51,6 @@ class BoundaryCurve:
     model: str
     criterion: str
     points: tuple[BoundaryPoint, ...]
-    meta: dict
 
 
 def delta_i(params: ModelParams) -> float:
@@ -81,76 +81,59 @@ def criterion_predicate(params: ModelParams, criterion: str) -> Callable[[float]
     raise ParameterDomainError(f"unknown criterion: {criterion!r}")
 
 
-def mu_max_numeric(
-    params: ModelParams,
-    criterion: str,
-    *,
-    rel_tol: float = 1e-6,
-    mu_ceiling: float = MU_CEILING,
-) -> Optional[float]:
+def mu_max_numeric(params: ModelParams, criterion: str) -> Optional[float]:
     """Largest noise mean at which the criterion holds; None when infeasible at mu = 0.
 
-    Brackets by doubling from a seed of 1e-12, then bisects to the requested
-    relative tolerance.  Returns the search ceiling when the criterion never
-    fails below it.
+    Brackets by doubling from a seed of 1e-12 up to the ceiling, then bisects
+    to a relative width of 1e-6 (``roots.REL_TOL``).  Returns ``MU_CEILING``
+    when the criterion still holds there.
     """
     pred = criterion_predicate(params, criterion)
     if not pred(0.0):
         return None
-    return _search_mu_max(pred, mu_ceiling=mu_ceiling, rel_tol=rel_tol)
+    return _search_mu_max(pred)
 
 
-def _search_mu_max(
-    pred: Callable[[float], bool], *, mu_ceiling: float, rel_tol: float
-) -> float:
-    mu = MU_SEED
-    last_true = 0.0
-    while mu <= mu_ceiling:
-        if pred(mu):
-            last_true = mu
-            mu *= 2.0
-        else:
-            break
-    else:
-        return mu_ceiling
-    first_false = mu
-    boundary = bisect_predicate(pred, last_true, first_false, rel_tol=rel_tol)
+def _edge(pred: Callable[[float], bool], holds: float, fails: float) -> float:
+    holds, fails = bisect_predicate(pred, holds, fails)
+    return 0.5 * (holds + fails)
+
+
+def _search_mu_max(pred: Callable[[float], bool]) -> float:
+    last_true, mu = 0.0, MU_SEED
+    while pred(mu):
+        if mu == MU_CEILING:
+            return MU_CEILING
+        last_true, mu = mu, min(2.0 * mu, MU_CEILING)
+    boundary = _edge(pred, last_true, mu)
     # probe the rest of the range: a re-entrant predicate means the boundary bends
-    if first_false < mu_ceiling:
-        ratio = mu_ceiling / first_false
+    if mu < MU_CEILING:
+        ratio = MU_CEILING / mu
         for exponent in (0.25, 0.5, 0.75):
-            if pred(first_false * ratio**exponent):
+            if pred(mu * ratio**exponent):
                 logger.warning(
                     "criterion predicate is non-monotone in mu near %.3g; dense rescan",
                     boundary,
                 )
-                return _dense_scan(pred, mu_ceiling=mu_ceiling, rel_tol=rel_tol)
+                return _dense_scan(pred)
     return boundary
 
 
-def _dense_scan(
-    pred: Callable[[float], bool], *, mu_ceiling: float, rel_tol: float
-) -> float:
+def _dense_scan(pred: Callable[[float], bool]) -> float:
     grid = [
-        MU_SEED * (mu_ceiling / MU_SEED) ** (i / (DENSE_SCAN_POINTS - 1))
+        MU_SEED * (MU_CEILING / MU_SEED) ** (i / (DENSE_SCAN_POINTS - 1))
         for i in range(DENSE_SCAN_POINTS)
     ]
     flags = [pred(mu) for mu in grid]
     if flags[-1]:
-        return mu_ceiling
+        return MU_CEILING
     if not any(flags):
-        return bisect_predicate(pred, 0.0, grid[0], rel_tol=rel_tol)
+        return _edge(pred, 0.0, grid[0])
     last = max(i for i, ok in enumerate(flags) if ok)
-    return bisect_predicate(pred, grid[last], grid[last + 1], rel_tol=rel_tol)
+    return _edge(pred, grid[last], grid[last + 1])
 
 
-def sweep(
-    params: ModelParams,
-    criterion: str,
-    t_grid: Sequence[float],
-    *,
-    rel_tol: float = 1e-6,
-) -> BoundaryCurve:
+def sweep(params: ModelParams, criterion: str, t_grid: Sequence[float]) -> BoundaryCurve:
     """One mu_max per grid transmittance; infeasible points carry mu_max = 0."""
     ts = list(t_grid)
     if any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])):
@@ -159,21 +142,18 @@ def sweep(
         raise ParameterDomainError("transmittance grid must lie in (0, 1]")
     points = []
     for t in ts:
-        mu = mu_max_numeric(replace(params, T=t), criterion, rel_tol=rel_tol)
+        mu = mu_max_numeric(replace(params, T=t), criterion)
         if mu is None:
             points.append(BoundaryPoint(T=t, mu_max=0.0, feasible=False))
         else:
             points.append(BoundaryPoint(T=t, mu_max=mu, feasible=True))
-    meta = {"model": model_name(params), "criterion": criterion, "params": params}
-    return BoundaryCurve(model_name(params), criterion, tuple(points), meta)
+    return BoundaryCurve(model_name(params), criterion, tuple(points))
 
 
-def t_min_numeric(
-    params: ModelParams, *, rel_tol: float = 1e-6, t_floor: float = 1e-9
-) -> Optional[float]:
+def t_min_numeric(params: ModelParams) -> Optional[float]:
     """Smallest transmittance with a positive secret fraction at mu = 0.
 
-    Returns 0.0 when security survives down to the floor (no positive
+    Returns 0.0 when security survives down to ``T_FLOOR`` (no positive
     threshold) and None when it fails even at T = 1.
     """
 
@@ -182,19 +162,9 @@ def t_min_numeric(
 
     if not secure(1.0):
         return None
-    if secure(t_floor):
+    if secure(T_FLOOR):
         return 0.0
-    # bracket is [t_floor: insecure, 1: secure]; find the smallest secure T
-    lo, hi = t_floor, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if secure(mid):
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= rel_tol * hi:
-            break
-    return hi
+    return bisect_predicate(secure, 1.0, T_FLOOR)[0]
 
 
 # --- closed-form small-T / small-nu evaluators ---------------------------------

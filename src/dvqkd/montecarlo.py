@@ -206,7 +206,8 @@ def _heralded_pairs(rng: np.random.Generator, params, n: int) -> tuple[np.ndarra
     """
     p0 = math.exp(-params.nu)
     u = p0 + (1.0 - p0) * rng.random(n)
-    u = np.maximum(u, np.nextafter(p0, 1.0))  # keep strictly above the vacuum mass
+    # keep strictly above the vacuum mass and below 1, where poisson.ppf is inf
+    u = np.clip(u, np.nextafter(p0, 1.0), np.nextafter(1.0, 0.0))
     pairs = _poisson.ppf(u, params.nu).astype(np.int64)
     return rng.binomial(pairs, params.T), pairs >= 2
 
@@ -260,19 +261,3 @@ _BLOCKS = {
     "noise-before": (_single_photon, _block_noise_before),
     "spdc": (_heralded_pairs, _block_bath),
 }
-
-
-def same_detector_fraction(j: int, samples: int, seed: int) -> McEstimate:
-    """Fraction of j-photon pulses with one shared random polarization that
-    land entirely in one detector of a polarizing splitter.
-
-    Validates the analytic 2/(j+1) polarization average used by the
-    noise-before-channel model.
-    """
-    if j < 1:
-        raise ParameterDomainError(f"photon count must be >= 1, got {j}")
-    rng = np.random.default_rng([seed, j])
-    x = rng.random(samples)
-    at_right = rng.binomial(np.full(samples, j), x)
-    same = (at_right == 0) | (at_right == j)
-    return _bernoulli_estimate(int(same.sum()), samples)

@@ -49,27 +49,40 @@ class EventProbs(NamedTuple):
     dark: float  # nothing arrives, one dark count fires
 
 
-def _same_detector(dist: ps.PhotonDistribution, T: float) -> float:
+_SERIES_BELOW = 0.08  # x = mu T under which the closed forms lose eps / x relative
+# Taylor coefficients of _same_detector in x, highest order first: (-1)^(k+1) k/(k+1)
+# for thermal noise, the same over k! for Poisson noise; x^17 is below 1e-17 relative
+_SERIES = {
+    ps.THERMAL: tuple((-1) ** (k + 1) * k / (k + 1) for k in range(16, 0, -1)),
+    ps.POISSON: tuple((-1) ** (k + 1) * k / math.factorial(k + 1) for k in range(16, 0, -1)),
+}
+
+
+def _same_detector(survivors: ps.PhotonDistribution) -> float:
     """Chance that the survivors of a polarized noise pulse, at least one,
     all land in one given detector (weight 1/(j+1) for j survivors)."""
-    x = dist.mean * T
-    if x == 0.0:
-        return 0.0
-    if dist.kind == ps.THERMAL:
+    x = survivors.mean
+    if x < _SERIES_BELOW:
+        total = 0.0
+        for c in _SERIES[survivors.kind]:
+            total = total * x + c
+        return total * x
+    if survivors.kind == ps.THERMAL:
         return math.log1p(x) / x - 1.0 / (1.0 + x)
     return -math.expm1(-x) / x - math.exp(-x)
 
 
 def event_probs(params: NoiseBeforeParams) -> EventProbs:
-    dist = params.noise()
-    s = params.p * params.T
-    none = ps.pgf(dist, 1.0 - params.T)  # no noise photon survives the channel
-    same = _same_detector(dist, params.T)
+    # the noise law is closed under loss: mean mu T survives the channel
+    survivors = ps.PhotonDistribution(params.noise_kind, params.mu * params.T)
+    quiet, s, _ = channel.single_photon(params.p, params.T)
+    none = ps.pgf(survivors, 0.0)  # no noise photon survives the channel
+    same = _same_detector(survivors)
     return EventProbs(
         signal=s * none,
-        noise=2.0 * (1.0 - s) * same,
+        noise=2.0 * quiet * same,
         noise_signal=s * same,
-        dark=2.0 * params.d * (1.0 - s) * none,
+        dark=2.0 * params.d * quiet * none,
     )
 
 

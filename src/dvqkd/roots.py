@@ -12,16 +12,13 @@ from typing import Callable
 
 from .errors import InfeasibleError
 
+XTOL = 1e-9  # absolute bracket width of bisect_root
+REL_TOL = 1e-6  # relative bracket width of bisect_predicate
+_MAX_STEPS = 200  # stops a bracket that cannot shrink relatively (an end at 0)
 
-def bisect_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    xtol: float = 1e-9,
-    max_iter: int = 200,
-) -> float:
-    """Root of f on [lo, hi] by bisection to absolute tolerance ``xtol``.
+
+def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of f on [lo, hi] by bisection to absolute tolerance ``XTOL``.
 
     Raises InfeasibleError if f(lo) and f(hi) have the same sign.
     """
@@ -33,7 +30,7 @@ def bisect_root(
         return hi
     if (flo > 0.0) == (fhi > 0.0):
         raise InfeasibleError(f"no sign change on [{lo:g}, {hi:g}]")
-    for _ in range(max_iter):
+    for _ in range(_MAX_STEPS):
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         if fmid == 0.0:
@@ -42,31 +39,26 @@ def bisect_root(
             lo, flo = mid, fmid
         else:
             hi = mid
-        if hi - lo <= xtol:
+        if hi - lo <= XTOL:
             break
     return 0.5 * (lo + hi)
 
 
 def bisect_predicate(
-    pred: Callable[[float], bool],
-    true_at: float,
-    false_at: float,
-    *,
-    rel_tol: float = 1e-6,
-    max_iter: int = 200,
-) -> float:
-    """Largest x with pred(x) True, given pred(true_at) and not pred(false_at).
+    pred: Callable[[float], bool], holds: float, fails: float
+) -> tuple[float, float]:
+    """Final bracket (holds, fails) around the edge of pred, given pred(holds)
+    and not pred(fails).
 
-    The bracket endpoints may be in either order; the returned value is the
-    midpoint of the final bracket, converged to relative width ``rel_tol``.
+    The bracket ends may be in either order; it is halved until its width is
+    at most ``REL_TOL`` of its larger end.
     """
-    lo, hi = true_at, false_at
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
+    for _ in range(_MAX_STEPS):
+        mid = 0.5 * (holds + fails)
         if pred(mid):
-            lo = mid
+            holds = mid
         else:
-            hi = mid
-        if abs(hi - lo) <= rel_tol * max(abs(lo), abs(hi)):
+            fails = mid
+        if abs(fails - holds) <= REL_TOL * max(abs(holds), abs(fails)):
             break
-    return 0.5 * (lo + hi)
+    return holds, fails

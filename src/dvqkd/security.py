@@ -68,7 +68,7 @@ def qber_threshold() -> float:
 
 
 def _compute_qber_threshold() -> float:
-    return bisect_root(lambda q: 1.0 - 2.0 * binary_entropy(q), 1e-12, 0.5 - 1e-12, xtol=1e-9)
+    return bisect_root(lambda q: 1.0 - 2.0 * binary_entropy(q), 1e-12, 0.5 - 1e-12)
 
 
 def y_threshold(e: float) -> float:
@@ -93,4 +93,4 @@ def y_threshold(e: float) -> float:
         raise InfeasibleError(
             f"no single-photon fraction <= 1 is secure at depolarization e={e:g}"
         )
-    return bisect_root(f, lo, 1.0, xtol=1e-9)
+    return bisect_root(f, lo, 1.0)

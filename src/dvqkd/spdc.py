@@ -103,9 +103,4 @@ def omega(params: SpdcParams) -> tuple[float, float]:
     return channel.arrivals(channel.heralded_arrivals(params.nu, params.T), bath, bath)
 
 
-def qber_small_t_approx(params: SpdcParams) -> float:
-    """Small-T, small-nu QBER form (e T / 2 + d) / (T + 2 d)."""
-    return (0.5 * params.e * params.T + params.d) / (params.T + 2.0 * params.d)
-
-
 channel.register("spdc", SpdcParams, __name__)

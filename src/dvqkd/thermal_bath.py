@@ -77,11 +77,4 @@ def omega(params: ThermalBathParams) -> tuple[float, float]:
     return channel.arrivals(channel.single_photon(params.p, params.T), bath, bath)
 
 
-def qber_small_t_approx(params: ThermalBathParams) -> float:
-    """Leading small-T form of the QBER at d = 0 (asymptote cross-check)."""
-    s = params.p * params.T
-    frac = params.mu / (1.0 + params.mu)
-    return (0.5 * params.e * s + frac) / (s + 2.0 * frac)
-
-
 channel.register("thermal-bath", ThermalBathParams, __name__)

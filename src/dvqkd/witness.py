@@ -23,6 +23,7 @@ _SUM_TOL = 1e-10
 _NEG_CLAMP = -1e-12
 _EPS_FLOOR = 1e-6  # smallest 1-V in the curve grid; P_S reaches ~5e-7
 _REFINE_TOL = 1e-10  # absolute tolerance on P_S during local refinement
+NG_POINTS = 512  # grid points of the boundary table every witness query reads
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,7 @@ class ClickStats:
             ("p_coincidence", self.p_coincidence),
             ("p_none", self.p_none),
         ):
-            if value < _NEG_CLAMP or value > 1.0 + 1e-12:
+            if not _NEG_CLAMP <= value <= 1.0 + 1e-12:
                 raise ParameterDomainError(f"{name} out of [0, 1]: {value}")
             if value < 0.0:  # rounding noise from cancellation-safe closed forms
                 object.__setattr__(self, name, 0.0)
@@ -65,8 +66,8 @@ def nc_boundary(p_single: float) -> float:
     weak-light limit P_C -> P_S^2 / 4; the larger root bounds the bunched
     side of the classical region and is not used here.
     """
-    if p_single < 0.0:
-        raise ParameterDomainError(f"p_single must be >= 0, got {p_single}")
+    if not 0.0 <= p_single <= 1.0:
+        raise ParameterDomainError(f"p_single must be in [0, 1], got {p_single}")
     if p_single > 0.5:
         raise BoundaryDomainError(
             f"classical boundary undefined for p_single > 0.5 (got {p_single})"
@@ -154,7 +155,7 @@ def _build_curve(num_points: int) -> _NgCurve:
     return _NgCurve(eps=eps_grid[idx], p_single=ps[idx], p_coincidence=pc[idx])
 
 
-def ng_boundary_curve(num_points: int = 512) -> tuple[NGBoundaryPoint, ...]:
+def ng_boundary_curve(num_points: int = NG_POINTS) -> tuple[NGBoundaryPoint, ...]:
     """The Gaussian-mixture boundary traced over the squeezing parameter.
 
     Points are returned sorted by rising P_S; family members whose P_S has
@@ -173,15 +174,17 @@ def ng_boundary_curve(num_points: int = 512) -> tuple[NGBoundaryPoint, ...]:
     )
 
 
-def ng_boundary(p_single: float, num_points: int = 512) -> float:
+def ng_boundary(p_single: float) -> float:
     """Maximal Gaussian-mixture coincidence deficit at the given P_S.
 
     Interpolates the precomputed boundary curve and refines by bisection on
     the V parametrization until the bracketing P_S matches the query to
     within 1e-10.
     """
-    curve = _build_curve(num_points)
-    if p_single < curve.ps_min or p_single > curve.ps_max:
+    if not 0.0 <= p_single <= 1.0:
+        raise ParameterDomainError(f"p_single must be in [0, 1], got {p_single}")
+    curve = _build_curve(NG_POINTS)
+    if not curve.ps_min <= p_single <= curve.ps_max:
         raise BoundaryDomainError(
             f"p_single={p_single:g} outside the tabulated boundary span "
             f"[{curve.ps_min:g}, {curve.ps_max:g}]"
@@ -217,20 +220,20 @@ def is_nonclassical(stats: ClickStats) -> bool:
     return stats.p_coincidence < nc_boundary(stats.p_single)
 
 
-def is_nongaussian(stats: ClickStats, num_points: int = 512) -> bool:
+def is_nongaussian(stats: ClickStats) -> bool:
     """True when no Gaussian mixture reproduces the click statistics.
 
     Above the largest single-click probability attainable by the Gaussian
     family the achievable region is empty and every state is flagged;
     otherwise the strict comparison against the boundary decides.
     """
-    curve = _build_curve(num_points)
+    curve = _build_curve(NG_POINTS)
     if stats.p_single > curve.ps_max:
         return True
     if stats.p_single <= curve.ps_min:
         # indistinguishable from vacuum at the tabulated floor; never flagged
         return False
-    return stats.p_coincidence < ng_boundary(stats.p_single, num_points)
+    return stats.p_coincidence < ng_boundary(stats.p_single)
 
 
 def simplified_nc(omega1: float, omega2plus: float) -> bool:

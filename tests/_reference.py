@@ -12,7 +12,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from dvqkd.errors import ParameterDomainError
+from dvqkd.montecarlo import McEstimate, _bernoulli_estimate
 from dvqkd.noise_before import EventProbs, NoiseBeforeParams
 from dvqkd.photon_stats import THERMAL, PhotonDistribution
 from dvqkd.spdc import SpdcParams
@@ -287,3 +290,31 @@ def _transmit(params: SpdcParams) -> float:
 def _blocked(params: SpdcParams) -> float:
     # sum over i of q_i (1 - t_i), kept as a difference of expm1 terms
     return math.expm1(-params.nu * params.T) - math.expm1(-params.nu)
+
+
+def qber_small_t_approx_thermal_bath(params: ThermalBathParams) -> float:
+    """Leading small-T form of the thermal-bath QBER at d = 0 (asymptote cross-check)."""
+    s = params.p * params.T
+    frac = params.mu / (1.0 + params.mu)
+    return (0.5 * params.e * s + frac) / (s + 2.0 * frac)
+
+
+def qber_small_t_approx_spdc(params: SpdcParams) -> float:
+    """Small-T, small-nu QBER form of the heralded source, (e T / 2 + d) / (T + 2 d)."""
+    return (0.5 * params.e * params.T + params.d) / (params.T + 2.0 * params.d)
+
+
+def same_detector_fraction(j: int, samples: int, seed: int) -> McEstimate:
+    """Fraction of j-photon pulses with one shared random polarization that
+    land entirely in one detector of a polarizing splitter.
+
+    Validates the analytic 2/(j+1) polarization average used by the
+    noise-before-channel model.
+    """
+    if j < 1:
+        raise ParameterDomainError(f"photon count must be >= 1, got {j}")
+    rng = np.random.default_rng([seed, j])
+    x = rng.random(samples)
+    at_right = rng.binomial(np.full(samples, j), x)
+    same = (at_right == 0) | (at_right == j)
+    return _bernoulli_estimate(int(same.sum()), samples)

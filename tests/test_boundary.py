@@ -45,7 +45,7 @@ class TestMuMaxNumeric:
 
 class TestSearchFallback:
     def test_monotone_predicate_direct(self):
-        got = boundary._search_mu_max(lambda mu: mu < 0.37, mu_ceiling=1e3, rel_tol=1e-9)
+        got = boundary._search_mu_max(lambda mu: mu < 0.37)
         assert got == pytest.approx(0.37, rel=1e-6)
 
     def test_non_monotone_predicate_rescanned(self):
@@ -54,12 +54,24 @@ class TestSearchFallback:
         def pred(mu):
             return mu <= 0.01 or 1.0 <= mu <= 500.0
 
-        got = boundary._search_mu_max(pred, mu_ceiling=1e3, rel_tol=1e-9)
+        got = boundary._search_mu_max(pred)
         assert got == pytest.approx(500.0, rel=1e-6)
 
     def test_always_true_hits_ceiling(self):
-        got = boundary._search_mu_max(lambda mu: True, mu_ceiling=123.0, rel_tol=1e-9)
-        assert got == 123.0
+        assert boundary._search_mu_max(lambda mu: True) == boundary.MU_CEILING
+
+    def test_boundary_between_last_doubling_and_ceiling_is_bisected(self):
+        # the doubling from 1e-12 last lands on ~563 below the ceiling of 1e3
+        got = boundary._search_mu_max(lambda mu: mu < 800.0)
+        assert got == pytest.approx(800.0, rel=1e-6)
+
+    def test_poisson_noise_before_nonclassical_boundary_below_ceiling(self):
+        pr = noise_before.NoiseBeforeParams(p=1.0, T=1.5e-3, mu=0.0, noise_kind="poisson")
+        got = boundary.mu_max_numeric(pr, boundary.NONCLASSICAL)
+        assert got < boundary.MU_CEILING
+        pred = boundary.criterion_predicate(pr, boundary.NONCLASSICAL)
+        assert pred(got * (1.0 - 4e-6))
+        assert not pred(got * (1.0 + 4e-6))
 
 
 class TestSweep:

@@ -9,7 +9,7 @@ log-uniformly over [1e-12, 1], the range the boundary sweeps reach.
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath import exp, mp, mpf
+from mpmath import exp, expm1, log1p, mp, mpf
 
 from dvqkd import noise_before, spdc, thermal_bath
 from dvqkd.photon_stats import POISSON, THERMAL
@@ -18,6 +18,7 @@ REL_TOL = 1e-13
 # the smallest statistics drawn (P_C near 1e-39) are differences of numbers near 1
 DIGITS = 80
 log_uniform = st.floats(min_value=-12.0, max_value=0.0).map(lambda k: 10.0**k)
+dark = st.floats(min_value=-12.0, max_value=-1.0).map(lambda k: 10.0**k)
 
 
 def _signal(s):
@@ -93,3 +94,29 @@ def test_spdc(nu, T, mu):
         m = mpf(mu) * (1 - mpf(T))
         want = _reference([_heralded(mpf(nu), mpf(T)), _thermal(m), _thermal(m)])
     _check(spdc, spdc.SpdcParams(nu=nu, T=T, mu=mu), want)
+
+
+def _same_detector(kind, x):
+    """Chance that a noise pulse's survivors, at least one, all reach one given detector."""
+    if kind == THERMAL:
+        return log1p(x) / x - 1 / (1 + x)
+    return -expm1(-x) / x - exp(-x)
+
+
+@pytest.mark.parametrize("kind", [THERMAL, POISSON])
+@settings(max_examples=150, deadline=None)
+@given(p=log_uniform, T=log_uniform, x=log_uniform, d=dark)
+@example(p=1.0, T=1e-6, x=0.25e-6, d=1e-12)
+@example(p=1.0, T=1e-9, x=0.25e-9, d=1e-12)
+def test_noise_before_event_probs(kind, p, T, x, d):
+    # x = mu T is the mean number of noise photons reaching Bob
+    params = noise_before.NoiseBeforeParams(p=p, T=T, mu=x / T, d=d, noise_kind=kind)
+    with mp.workdps(DIGITS):
+        X = mpf(params.mu) * mpf(T)
+        s = mpf(p) * mpf(T)
+        none = 1 / (1 + X) if kind == THERMAL else exp(-X)
+        same = _same_detector(kind, X)
+        want = (s * none, 2 * (1 - s) * same, s * same, 2 * mpf(d) * (1 - s) * none)
+    got = noise_before.event_probs(params)
+    for name, g, w in zip(got._fields, got, want):
+        assert abs(g - w) <= REL_TOL * abs(w), (name, params, g, float(w))

@@ -275,3 +275,17 @@ def test_extreme_inputs_end_in_an_exit_code(capsys, argv):
     assert code in (0, 2, 3)
     assert len(err.splitlines()) <= 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "--ps", "nan"],
+        ["witness", "--ps", "1e-3", "--pc", "nan"],
+    ],
+)
+def test_nan_witness_inputs_are_config_errors(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")

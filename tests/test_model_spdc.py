@@ -62,11 +62,11 @@ class TestKeyStats:
 
     def test_small_parameter_qber_form(self):
         pr = params(nu=1e-4, T=1e-2, mu=1e-6, e=0.05, d=0.0)
-        assert spdc.key_stats(pr).qber == pytest.approx(spdc.qber_small_t_approx(pr), rel=0.05)
+        assert spdc.key_stats(pr).qber == pytest.approx(ref.qber_small_t_approx_spdc(pr), rel=0.05)
 
     def test_small_parameter_qber_form_with_dark_counts(self):
         pr = params(nu=1e-4, T=1e-2, mu=1e-6, e=0.05, d=1e-4)
-        assert spdc.key_stats(pr).qber == pytest.approx(spdc.qber_small_t_approx(pr), rel=0.05)
+        assert spdc.key_stats(pr).qber == pytest.approx(ref.qber_small_t_approx_spdc(pr), rel=0.05)
 
     def test_fraction_bounds_and_limit(self):
         for nu in (1e-5, 1e-3, 0.1, 0.5):

@@ -57,7 +57,7 @@ class TestQber:
     def test_small_transmittance_asymptote(self, T):
         for mu in (1e-5, 1e-4, 1e-3):
             pr = params(p=1.0, T=T, mu=mu)
-            assert tb.qber(pr) == pytest.approx(tb.qber_small_t_approx(pr), rel=0.05)
+            assert tb.qber(pr) == pytest.approx(ref.qber_small_t_approx_thermal_bath(pr), rel=0.05)
 
     def test_bounded_and_monotone_in_noise(self):
         for p in (0.2, 1.0):
