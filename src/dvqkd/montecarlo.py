@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.stats import poisson as _poisson
 
 from . import channel
 from . import photon_stats as ps
@@ -30,6 +30,9 @@ KEY = "key"
 AUTOCORR = "autocorr"
 
 _BLOCK = 1 << 16
+
+# the pair-count quantile table holds about nu + 40 sqrt(nu) entries
+NU_MAX = 1e4
 
 
 @dataclass(frozen=True)
@@ -199,16 +202,37 @@ def _single_photon(rng: np.random.Generator, params, n: int) -> tuple[np.ndarray
     return emitted & (rng.random(n) < params.T), None
 
 
+def _poisson_ppf(u: np.ndarray, nu: float) -> np.ndarray:
+    """Smallest k with P(N <= k) >= u for N ~ Poisson(nu), by table lookup.
+
+    The table runs 40 standard deviations past the mean, and the upper tails
+    P(N > k) are summed from the top down so that no entry is a difference.
+    """
+    k = np.arange(int(nu + 40.0 * math.sqrt(nu) + 60.0))
+    log_fact = np.array([math.lgamma(j + 1.0) for j in range(k.size)])
+    pmf = np.exp(k * math.log(nu) - nu - log_fact)
+    above = np.append(np.cumsum(pmf[:0:-1])[::-1], 0.0)  # above[k] = P(N > k)
+    return np.searchsorted(-above, -(1.0 - u))
+
+
+# the Poisson law pair counts are drawn from, through its quantile function
+_poisson = SimpleNamespace(ppf=_poisson_ppf)
+
+
 def _heralded_pairs(rng: np.random.Generator, params, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Signal photons reaching Bob from a heralded pulse, and which pulses held >= 2 pairs.
 
     Pair counts are drawn conditioned on the ideal herald (at least one pair).
     """
+    if not 0.0 < params.nu <= NU_MAX:
+        raise ParameterDomainError(
+            f"spdc Monte Carlo needs a pair mean nu in (0, {NU_MAX:g}], got {params.nu:g}"
+        )
     p0 = math.exp(-params.nu)
     u = p0 + (1.0 - p0) * rng.random(n)
-    # keep strictly above the vacuum mass and below 1, where poisson.ppf is inf
+    # keep strictly above the vacuum mass and below 1, where the quantile is unbounded
     u = np.clip(u, np.nextafter(p0, 1.0), np.nextafter(1.0, 0.0))
-    pairs = _poisson.ppf(u, params.nu).astype(np.int64)
+    pairs = _poisson.ppf(u, params.nu)
     return rng.binomial(pairs, params.T), pairs >= 2
 
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import gammainc
-
 from .errors import ParameterDomainError
 
 THERMAL = "thermal"
@@ -52,7 +50,7 @@ def pgf(dist: PhotonDistribution, x: float) -> float:
 
 
 def prob_at_least(dist: PhotonDistribution, k: int) -> float:
-    """P(N >= k), computed without cancellation for k in {1, 2}."""
+    """P(N >= k) without cancellation; Poisson laws take k <= 2 only."""
     mu = dist.mean
     if k <= 0:
         return 1.0
@@ -60,5 +58,14 @@ def prob_at_least(dist: PhotonDistribution, k: int) -> float:
         return 0.0
     if dist.kind == THERMAL:
         return (mu / (1.0 + mu)) ** k
-    # regularized lower incomplete gamma gives the Poisson upper tail exactly
-    return float(gammainc(k, mu))
+    if k == 1:
+        return -math.expm1(-mu)
+    if k > 2:
+        raise ParameterDomainError(f"Poisson tails are implemented for k <= 2, got k = {k}")
+    if mu >= 1.0:
+        return -math.expm1(-mu) - mu * math.exp(-mu)  # loses at most a factor 2.4
+    # e^-mu (mu^2/2! + mu^3/3! + ...): positive terms, summed by fsum
+    terms = [0.5 * mu * mu]
+    while terms[-1] > 1e-17 * terms[0]:
+        terms.append(terms[-1] * mu / (len(terms) + 2))
+    return math.exp(-mu) * math.fsum(terms)

@@ -34,8 +34,8 @@ class ThermalBathParams:
 
 
 def _key_events(params: ThermalBathParams) -> tuple[float, float]:
-    s = params.p * params.T
-    return channel.key_events(s, 1.0 - s, params.mu * (1.0 - params.T), params.e, params.d)
+    lost, kept, _ = channel.single_photon(params.p, params.T)
+    return channel.key_events(kept, lost, params.mu * (1.0 - params.T), params.e, params.d)
 
 
 def p_exp(params: ThermalBathParams) -> float:

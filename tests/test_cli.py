@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -289,3 +292,20 @@ def test_nan_witness_inputs_are_config_errors(capsys, argv):
     assert code == 2
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
+
+
+def test_spdc_monte_carlo_pair_mean_bound(capsys):
+    code, _, err = run(capsys, "mc-validate", "--model", "spdc", "--nu", "1e12")
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+
+
+def test_cli_runtime_does_not_load_scipy():
+    probe = "import sys, dvqkd.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout.strip() == "False"

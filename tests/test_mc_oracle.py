@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 import _reference as ref
@@ -153,6 +156,29 @@ class TestSpdcSmallNu:
         }
         for name, value in analytic.items():
             check(value, out[name], sigmas=5.0)
+
+
+class TestPoissonQuantile:
+    @pytest.mark.parametrize("seed, nu", enumerate(np.geomspace(1e-12, 1e4, 17).tolist()))
+    def test_matches_scipy(self, seed, nu):
+        from scipy.stats import poisson
+
+        # the herald-conditioned, clipped draws the sampler feeds it
+        p0 = math.exp(-nu)
+        u = p0 + (1.0 - p0) * np.random.default_rng([11, seed]).random(1 << 16)
+        u = np.clip(u, np.nextafter(p0, 1.0), np.nextafter(1.0, 0.0))
+        assert np.array_equal(mc._poisson.ppf(u, nu), poisson.ppf(u, nu))
+
+    @pytest.mark.parametrize("nu", [0.0, 2 * mc.NU_MAX, 1e12])
+    def test_pair_mean_outside_table_rejected(self, nu):
+        pr = spdc.SpdcParams(nu=nu, T=0.3, mu=0.05)
+        with pytest.raises(ParameterDomainError):
+            mc.simulate(pr, mc.McConfig(samples=20_000, seed=1), mc.AUTOCORR)
+
+    def test_largest_pair_mean_runs(self):
+        pr = spdc.SpdcParams(nu=mc.NU_MAX, T=0.3, mu=0.05)
+        out = mc.simulate(pr, mc.McConfig(samples=20_000, seed=1), mc.AUTOCORR)
+        check(spdc.omega(pr)[1], out["omega2plus"])
 
 
 class TestPolarizationIntegration:

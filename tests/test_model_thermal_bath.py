@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 import _reference as ref
 from dvqkd import photon_stats as ps
@@ -71,6 +72,15 @@ class TestQber:
                     q = tb.qber(params(p=p, T=T, mu=float(mu), e=0.0, d=0.0))
                     assert q >= q_prev - 1e-15
                     q_prev = q
+
+    def test_near_unit_emission_and_transmittance_against_mpmath(self):
+        # the loss 1 - pT is ~1e-7 here; forming it by subtraction costs ~1e-10 relative
+        p, T, mu = 1.0 - 1e-10, 1.0 - 1e-7, 1.0
+        with mp.workdps(60):
+            lost = 1 - mpf(p) * mpf(T)
+            m = mpf(mu) * (1 - mpf(T))
+            want = lost * m / (1 + m) / (mpf(p) * mpf(T) + 2 * lost * m / (1 + m))
+        assert abs(tb.qber(params(p=p, T=T, mu=mu)) - want) <= 1e-13 * want
 
 
 class TestClickStats:

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import exp, expm1, mp, mpf
 
 import _reference as ref
 from dvqkd import photon_stats as ps
@@ -157,10 +158,27 @@ class TestSeries:
 
     def test_prob_at_least_stable_for_tiny_means(self):
         pois = ps.PhotonDistribution.poisson(1e-8)
-        # 1 - (1 + mu) e^-mu would cancel; the incomplete-gamma path must not
+        # 1 - (1 + mu) e^-mu would cancel; the series branch must not
         assert ps.prob_at_least(pois, 2) == pytest.approx(0.5e-16, rel=1e-6)
         therm = ps.PhotonDistribution.thermal(1e-8)
         assert ps.prob_at_least(therm, 2) == pytest.approx(1e-16, rel=1e-6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_mu=st.floats(min_value=-12.0, max_value=3.0), k=st.sampled_from([1, 2]))
+@example(log_mu=0.0, k=2)  # the switch from the series to the closed form
+def test_poisson_tail_against_mpmath(log_mu, k):
+    mu = 10.0**log_mu
+    with mp.workdps(60):
+        m = mpf(mu)
+        want = -expm1(-m) if k == 1 else -expm1(-m) - m * exp(-m)
+    got = ps.prob_at_least(ps.PhotonDistribution.poisson(mu), k)
+    assert abs(got - want) <= 1e-15 * want
+
+
+def test_poisson_tail_beyond_two_rejected():
+    with pytest.raises(ParameterDomainError):
+        ps.prob_at_least(POISSON_ONE, 3)
 
 
 @settings(max_examples=60, deadline=None)
