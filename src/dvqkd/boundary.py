@@ -3,15 +3,14 @@ their closed-form small-T / small-nu approximations.
 
 The numeric solver treats each criterion (positive secret fraction,
 nonclassicality, non-Gaussianity) as a predicate on the noise mean mu and
-locates the largest mu at which it still holds.  All three predicates are
-monotone in mu in the regimes of interest (noise only hurts); monotonicity
-is probed rather than assumed, with a dense-scan fallback for the bent
-high-transmittance boundaries of the Poisson noise model.
+locates the largest mu at which it still holds.  The search assumes every
+predicate is monotone in mu (noise only hurts): it brackets the edge by
+doubling and bisects it once.  ``tests/test_boundary.py`` checks that
+monotonicity on seeded configurations of every model and criterion.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
@@ -21,8 +20,6 @@ from .errors import ParameterDomainError
 from .roots import bisect_predicate
 from .security import qber_threshold, y_threshold
 from .witness import ClickStats, is_nonclassical, is_nongaussian
-
-logger = logging.getLogger(__name__)
 
 ModelParams = Union[
     thermal_bath.ThermalBathParams, noise_before.NoiseBeforeParams, spdc.SpdcParams
@@ -37,7 +34,7 @@ MU_CEILING = 1e3  # thermal means beyond this are unphysical for the setting
 MU_SEED = 1e-12  # bracket-doubling start
 T_FLOOR = 1e-9  # smallest transmittance t_min_numeric probes
 SECURITY_MARGIN = 1e-12  # "secure" means delta_i strictly above this
-DENSE_SCAN_POINTS = 240
+
 
 @dataclass(frozen=True)
 class BoundaryPoint:
@@ -94,43 +91,14 @@ def mu_max_numeric(params: ModelParams, criterion: str) -> Optional[float]:
     return _search_mu_max(pred)
 
 
-def _edge(pred: Callable[[float], bool], holds: float, fails: float) -> float:
-    holds, fails = bisect_predicate(pred, holds, fails)
-    return 0.5 * (holds + fails)
-
-
 def _search_mu_max(pred: Callable[[float], bool]) -> float:
     last_true, mu = 0.0, MU_SEED
     while pred(mu):
         if mu == MU_CEILING:
             return MU_CEILING
         last_true, mu = mu, min(2.0 * mu, MU_CEILING)
-    boundary = _edge(pred, last_true, mu)
-    # probe the rest of the range: a re-entrant predicate means the boundary bends
-    if mu < MU_CEILING:
-        ratio = MU_CEILING / mu
-        for exponent in (0.25, 0.5, 0.75):
-            if pred(mu * ratio**exponent):
-                logger.warning(
-                    "criterion predicate is non-monotone in mu near %.3g; dense rescan",
-                    boundary,
-                )
-                return _dense_scan(pred)
-    return boundary
-
-
-def _dense_scan(pred: Callable[[float], bool]) -> float:
-    grid = [
-        MU_SEED * (MU_CEILING / MU_SEED) ** (i / (DENSE_SCAN_POINTS - 1))
-        for i in range(DENSE_SCAN_POINTS)
-    ]
-    flags = [pred(mu) for mu in grid]
-    if flags[-1]:
-        return MU_CEILING
-    if not any(flags):
-        return _edge(pred, 0.0, grid[0])
-    last = max(i for i, ok in enumerate(flags) if ok)
-    return _edge(pred, grid[last], grid[last + 1])
+    holds, fails = bisect_predicate(pred, last_true, mu)
+    return 0.5 * (holds + fails)
 
 
 def sweep(params: ModelParams, criterion: str, t_grid: Sequence[float]) -> BoundaryCurve:

@@ -23,6 +23,7 @@ EXIT_CONFIG = 2
 EXIT_ALL_INFEASIBLE = 3
 
 MAX_SAMPLES = 1e9  # Monte Carlo budget of one mc-validate run
+MAX_POINTS = 100_000  # largest sweep grid or ng-curve table, checked before allocation
 
 _CRITERION_ALIASES = {
     "security": boundary.SECURITY,
@@ -115,8 +116,8 @@ def _parse_t_grid(spec: str) -> list[float]:
     scale = parts[3]
     if scale not in ("log", "lin"):
         raise _CliError(f"t-grid scale must be log or lin, got {scale!r}")
-    if count < 2:
-        raise _CliError("t-grid count must be >= 2")
+    if not 2 <= count <= MAX_POINTS:
+        raise _CliError(f"t-grid count must be in [2, {MAX_POINTS}], got {count}")
     if not 0.0 < lo < hi <= 1.0:
         raise _CliError("t-grid must satisfy 0 < min < max <= 1")
     if scale == "log":
@@ -295,6 +296,8 @@ def _analytic_reference(params) -> dict:
 
 
 def _cmd_ng_curve(args: argparse.Namespace) -> int:
+    if args.points > MAX_POINTS:
+        raise _CliError(f"points must be at most {MAX_POINTS}, got {args.points}")
     rows = [
         {"V": pt.v, "n": pt.n_of_v, "p_single": pt.p_single, "p_coincidence": pt.p_coincidence}
         for pt in witness.ng_boundary_curve(args.points)

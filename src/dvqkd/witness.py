@@ -72,7 +72,8 @@ def nc_boundary(p_single: float) -> float:
         raise BoundaryDomainError(
             f"classical boundary undefined for p_single > 0.5 (got {p_single})"
         )
-    root = 0.5 * (1.0 - math.sqrt(1.0 - 2.0 * p_single))
+    # 0.5 (1 - sqrt(1 - 2 P_S)) without the difference of near-equal terms
+    root = p_single / (1.0 + math.sqrt(1.0 - 2.0 * p_single))
     return root * root
 
 

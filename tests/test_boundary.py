@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from dvqkd import boundary, noise_before, spdc, thermal_bath, witness
@@ -48,14 +49,14 @@ class TestSearchFallback:
         got = boundary._search_mu_max(lambda mu: mu < 0.37)
         assert got == pytest.approx(0.37, rel=1e-6)
 
-    def test_non_monotone_predicate_rescanned(self):
+    def test_non_monotone_predicate_gives_edge_nearest_zero(self):
         # holds on [0, 0.01], fails, then holds again on a broad upper window:
-        # the probe detects the re-entrance and the dense scan finds its edge
+        # the search assumes monotonicity and bisects the first failure it meets
         def pred(mu):
             return mu <= 0.01 or 1.0 <= mu <= 500.0
 
         got = boundary._search_mu_max(pred)
-        assert got == pytest.approx(500.0, rel=1e-6)
+        assert got == pytest.approx(0.01, rel=1e-6)
 
     def test_always_true_hits_ceiling(self):
         assert boundary._search_mu_max(lambda mu: True) == boundary.MU_CEILING
@@ -72,6 +73,48 @@ class TestSearchFallback:
         pred = boundary.criterion_predicate(pr, boundary.NONCLASSICAL)
         assert pred(got * (1.0 - 4e-6))
         assert not pred(got * (1.0 + 4e-6))
+
+    def test_poisson_noise_before_nonclassical_holds_to_ceiling_at_tiny_transmittance(self):
+        # the classical-bound margin is ~(p/mu)^2 ~ 1e-12 near the ceiling, so the
+        # criterion holds there only if nc_boundary keeps its relative precision
+        pr = noise_before.NoiseBeforeParams(p=1e-3, T=1e-9, mu=0.0, noise_kind="poisson")
+        assert boundary.mu_max_numeric(pr, boundary.NONCLASSICAL) == boundary.MU_CEILING
+
+
+class TestMonotoneInMu:
+    """The search assumes every criterion, once failing, never holds again at larger mu."""
+
+    VARIANTS = ("thermal-bath", "noise-before/thermal", "noise-before/poisson", "spdc")
+    CONFIGS = 30
+    MU_GRID = [0.0] + [float(mu) for mu in np.geomspace(boundary.MU_SEED, boundary.MU_CEILING, 200)]
+
+    @staticmethod
+    def _draw(rng, variant):
+        p = 10.0 ** rng.uniform(-3.0, 0.0)
+        T = float(rng.choice(
+            [1.0, 1.0 - 10.0 ** rng.uniform(-12.0, -1.0), 10.0 ** rng.uniform(-12.0, 0.0)]
+        ))
+        e = rng.uniform(0.0, 0.25)
+        d = 0.0 if rng.random() < 0.5 else 10.0 ** rng.uniform(-10.0, -1.0)
+        nu = 10.0 ** rng.uniform(-12.0, 1.0)
+        if variant == "thermal-bath":
+            return thermal_bath.ThermalBathParams(p=p, T=T, mu=0.0, e=e, d=d)
+        if variant == "spdc":
+            return spdc.SpdcParams(nu=nu, T=T, mu=0.0, e=e, d=d)
+        kind = variant.split("/")[1]
+        return noise_before.NoiseBeforeParams(p=p, T=T, mu=0.0, e=e, d=d, noise_kind=kind)
+
+    @pytest.mark.parametrize("criterion", boundary.CRITERIA)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_never_holds_again_after_failing(self, variant, criterion):
+        rng = np.random.default_rng(
+            [self.VARIANTS.index(variant), boundary.CRITERIA.index(criterion)]
+        )
+        for _ in range(self.CONFIGS):
+            params = self._draw(rng, variant)
+            pred = boundary.criterion_predicate(params, criterion)
+            flags = [pred(mu) for mu in self.MU_GRID]
+            assert not any(not a and b for a, b in zip(flags, flags[1:])), params
 
 
 class TestSweep:

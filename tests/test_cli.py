@@ -271,6 +271,8 @@ def test_readme_example_matches_reference(name, argv, out_file, tmp_path, monkey
         ["point", "--model", "noise-before", "--t", "1e-3", "--mu", "1e300"],
         ["mc-validate", "--model", "thermal-bath", "--samples", "inf"],
         ["mc-validate", "--model", "thermal-bath", "--samples", "1e20"],
+        ["sweep", "--model", "thermal-bath", "--t-grid", "1e-3:1:1000000000:log"],
+        ["ng-curve", "--points", "1000000000"],
     ],
 )
 def test_extreme_inputs_end_in_an_exit_code(capsys, argv):

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpf
 
 from dvqkd import witness
 from dvqkd.errors import BoundaryDomainError, ParameterDomainError
@@ -32,6 +35,17 @@ class TestNcBoundary:
         # the ratio approaches 1/4 linearly in P_S
         for p_s in (1e-5, 1e-4, 1e-3):
             assert witness.nc_boundary(p_s) / p_s**2 == pytest.approx(0.25, abs=0.3 * p_s)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(min_value=-15.0, max_value=math.log10(0.5)).map(lambda k: min(10.0**k, 0.5))
+    )
+    @example(1e-12)
+    def test_against_mpmath(self, p_s):
+        # 0.5 (1 - sqrt(1 - 2 P_S)) differences near-equal terms for small P_S
+        with mp.workdps(60):
+            want = ((1 - mp.sqrt(1 - 2 * mpf(p_s))) / 2) ** 2
+            assert abs(witness.nc_boundary(p_s) - want) <= 1e-15 * want
 
     def test_out_of_domain(self):
         with pytest.raises(BoundaryDomainError):
