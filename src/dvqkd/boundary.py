@@ -5,8 +5,10 @@ The numeric solver treats each criterion (positive secret fraction,
 nonclassicality, non-Gaussianity) as a predicate on the noise mean mu and
 locates the largest mu at which it still holds.  The search assumes every
 predicate is monotone in mu (noise only hurts): it brackets the edge by
-doubling and bisects it once.  ``tests/test_boundary.py`` checks that
-monotonicity on seeded configurations of every model and criterion.
+doubling and bisects it once, on all transmittances of a sweep at once, so
+``mu_max_numeric`` is the same search on one transmittance.
+``tests/test_boundary.py`` checks that monotonicity on seeded configurations
+of every model and criterion.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
+
+import numpy as np
 
 from . import channel, noise_before, spdc, thermal_bath
 from .errors import ParameterDomainError
@@ -59,22 +63,19 @@ def model_clicks(params: ModelParams) -> ClickStats:
     return channel.model(params).module.click_stats(params)
 
 
-def model_omega(params: ModelParams) -> tuple[float, float]:
-    return channel.model(params).module.omega(params)
-
-
 def model_name(params: ModelParams) -> str:
     return channel.model(params).name
 
 
-def criterion_predicate(params: ModelParams, criterion: str) -> Callable[[float], bool]:
-    """Predicate in mu deciding whether the criterion holds at fixed other parameters."""
+def criterion_predicate(params: ModelParams, criterion: str) -> Callable:
+    """Predicate in mu, and in T in place of ``params.T``, deciding whether the
+    criterion holds at fixed other parameters; elementwise over arrays."""
     if criterion == SECURITY:
-        return lambda mu: delta_i(replace(params, mu=mu)) > SECURITY_MARGIN
+        return lambda mu, T=params.T: delta_i(replace(params, T=T, mu=mu)) > SECURITY_MARGIN
     if criterion == NONCLASSICAL:
-        return lambda mu: is_nonclassical(model_clicks(replace(params, mu=mu)))
+        return lambda mu, T=params.T: is_nonclassical(model_clicks(replace(params, T=T, mu=mu)))
     if criterion == NONGAUSSIAN:
-        return lambda mu: is_nongaussian(model_clicks(replace(params, mu=mu)))
+        return lambda mu, T=params.T: is_nongaussian(model_clicks(replace(params, T=T, mu=mu)))
     raise ParameterDomainError(f"unknown criterion: {criterion!r}")
 
 
@@ -85,37 +86,42 @@ def mu_max_numeric(params: ModelParams, criterion: str) -> Optional[float]:
     to a relative width of 1e-6 (``roots.REL_TOL``).  Returns ``MU_CEILING``
     when the criterion still holds there.
     """
-    pred = criterion_predicate(params, criterion)
-    if not pred(0.0):
-        return None
-    return _search_mu_max(pred)
+    mu_max, feasible = _search_mu_max(criterion_predicate(params, criterion), np.array([params.T]))
+    return float(mu_max[0]) if feasible[0] else None
 
 
-def _search_mu_max(pred: Callable[[float], bool]) -> float:
-    last_true, mu = 0.0, MU_SEED
-    while pred(mu):
-        if mu == MU_CEILING:
-            return MU_CEILING
-        last_true, mu = mu, min(2.0 * mu, MU_CEILING)
-    holds, fails = bisect_predicate(pred, last_true, mu)
-    return 0.5 * (holds + fails)
+def _search_mu_max(pred: Callable, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mu_max, feasible) per transmittance: where pred(0, T) holds, the largest mu
+    with pred(mu, T); elsewhere 0.  An element leaves the search once its own
+    bracket is done, so it ends as a search of its own would."""
+    feasible = pred(np.zeros(ts.size), ts)
+    holds, fails = np.zeros(ts.size), np.full(ts.size, MU_SEED)
+    ceiling = np.zeros(ts.size, dtype=bool)
+    which = np.flatnonzero(feasible)  # still doubling
+    while which.size:
+        up = which[pred(fails[which], ts[which])]
+        ceiling[up] = fails[up] == MU_CEILING
+        up = up[~ceiling[up]]
+        holds[up], fails[up] = fails[up], np.minimum(2.0 * fails[up], MU_CEILING)
+        which = up
+    rest = np.flatnonzero(feasible & ~ceiling)
+    holds, fails = bisect_predicate(lambda mu: pred(mu, ts[rest]), holds[rest], fails[rest])
+    mu_max = np.where(ceiling, MU_CEILING, 0.0)
+    mu_max[rest] = 0.5 * (holds + fails)
+    return mu_max, feasible
 
 
 def sweep(params: ModelParams, criterion: str, t_grid: Sequence[float]) -> BoundaryCurve:
     """One mu_max per grid transmittance; infeasible points carry mu_max = 0."""
-    ts = list(t_grid)
-    if any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])):
-        raise ParameterDomainError("transmittance grid must be strictly increasing")
-    if ts and (ts[0] <= 0.0 or ts[-1] > 1.0):
-        raise ParameterDomainError("transmittance grid must lie in (0, 1]")
-    points = []
-    for t in ts:
-        mu = mu_max_numeric(replace(params, T=t), criterion)
-        if mu is None:
-            points.append(BoundaryPoint(T=t, mu_max=0.0, feasible=False))
-        else:
-            points.append(BoundaryPoint(T=t, mu_max=mu, feasible=True))
-    return BoundaryCurve(model_name(params), criterion, tuple(points))
+    ts = np.array(t_grid, dtype=float)
+    if not (np.all((ts > 0.0) & (ts <= 1.0)) and np.all(np.diff(ts) > 0.0)):
+        raise ParameterDomainError("transmittance grid must increase strictly within (0, 1]")
+    mu_max, feasible = _search_mu_max(criterion_predicate(params, criterion), ts)
+    points = tuple(
+        BoundaryPoint(T=t, mu_max=float(mu), feasible=bool(ok))
+        for t, mu, ok in zip(ts.tolist(), mu_max, feasible)
+    )
+    return BoundaryCurve(model_name(params), criterion, points)
 
 
 def t_min_numeric(params: ModelParams) -> Optional[float]:
@@ -125,14 +131,13 @@ def t_min_numeric(params: ModelParams) -> Optional[float]:
     threshold) and None when it fails even at T = 1.
     """
 
-    def secure(t: float) -> bool:
-        return delta_i(replace(params, T=t, mu=0.0)) > SECURITY_MARGIN
-
-    if not secure(1.0):
+    pred = criterion_predicate(params, SECURITY)
+    if not pred(0.0, 1.0):
         return None
-    if secure(T_FLOOR):
+    if pred(0.0, T_FLOOR):
         return 0.0
-    return bisect_predicate(secure, 1.0, T_FLOOR)[0]
+    holds, _ = bisect_predicate(lambda t: pred(0.0, t), 1.0, T_FLOOR)
+    return float(holds)
 
 
 # --- closed-form small-T / small-nu evaluators ---------------------------------

@@ -4,7 +4,9 @@ Each light component reaching Bob (the signal, a thermal or a Poisson noise
 mode) has its own outcome triple, written without cancellation: (none,
 single, coincidence) on the 50:50 autocorrelation setup, or (0, 1, >= 2)
 photons arriving.  Independent components combine by ``witness.combine``,
-so a model only names its components.
+so a model only names its components.  Transmittances and noise means may be
+floats or numpy arrays alike: every formula is elementwise, so one element
+of an array gives the bits a float gives.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from functools import reduce
 from types import ModuleType
 from typing import NamedTuple
 
+import numpy as np
+
 from . import photon_stats as ps
 from .errors import ParameterDomainError, UndefinedRateError
 from .witness import ClickStats, combine
@@ -23,14 +27,14 @@ Triple = tuple[float, float, float]
 
 
 def validate(T: float, mu: float, e: float, d: float, *, p: float = 0.0, nu: float = 0.0) -> None:
-    """Domain checks shared by every model's parameter record."""
+    """Domain checks shared by every model's parameter record; T and mu may be arrays."""
     if not 0.0 <= p <= 1.0:
         raise ParameterDomainError(f"emission probability must be in [0, 1], got {p}")
     if not 0.0 <= nu < math.inf:
         raise ParameterDomainError(f"pair mean must be finite and >= 0, got {nu}")
-    if not 0.0 <= T <= 1.0:
+    if not np.all((0.0 <= T) & (T <= 1.0)):
         raise ParameterDomainError(f"transmittance must be in [0, 1], got {T}")
-    if not 0.0 <= mu < math.inf:
+    if not np.all((0.0 <= mu) & (mu < math.inf)):
         raise ParameterDomainError(f"noise mean must be finite and >= 0, got {mu}")
     if not 0.0 <= e <= 1.0:
         raise ParameterDomainError(f"depolarization must be in [0, 1], got {e}")
@@ -69,18 +73,18 @@ def single_photon(p: float, T: float) -> Triple:
 def heralded_clicks(nu: float, T: float) -> Triple:
     """Poisson(nu) pairs given a herald, each signal photon kept with T."""
     herald = -math.expm1(-nu)
-    lit = -math.expm1(-0.5 * nu * T)  # light at one given detector, times the herald
-    none = math.exp(-nu * T) * -math.expm1(-nu * (1.0 - T)) / herald
-    return none, 2.0 * math.exp(-0.5 * nu * T) * lit / herald, lit * lit / herald
+    lit = -np.expm1(-0.5 * nu * T)  # light at one given detector, times the herald
+    none = np.exp(-nu * T) * -np.expm1(-nu * (1.0 - T)) / herald
+    return none, 2.0 * np.exp(-0.5 * nu * T) * lit / herald, lit * lit / herald
 
 
 def heralded_arrivals(nu: float, T: float) -> Triple:
     herald = -math.expm1(-nu)
     x = nu * T
-    none = math.exp(-x) * -math.expm1(-nu * (1.0 - T)) / herald
+    none = np.exp(-x) * -np.expm1(-nu * (1.0 - T)) / herald
     # two kept photons imply a herald, so the unconditioned Poisson(nu T) tail applies
     more = ps.prob_at_least(ps.PhotonDistribution.poisson(x), 2)
-    return none, x * math.exp(-x) / herald, more / herald
+    return none, x * np.exp(-x) / herald, more / herald
 
 
 def thermal_clicks(m: float) -> Triple:
@@ -98,13 +102,13 @@ def thermal_arrivals(m: float) -> Triple:
 
 def poisson_clicks(m: float) -> Triple:
     """A Poisson mode of mean m: independent Poisson(m/2) light at each detector."""
-    dark = math.exp(-0.5 * m)
-    lit = -math.expm1(-0.5 * m)
+    dark = np.exp(-0.5 * m)
+    lit = -np.expm1(-0.5 * m)
     return dark * dark, 2.0 * lit * dark, lit * lit
 
 
 def poisson_arrivals(m: float) -> Triple:
-    return math.exp(-m), m * math.exp(-m), ps.prob_at_least(ps.PhotonDistribution.poisson(m), 2)
+    return np.exp(-m), m * np.exp(-m), ps.prob_at_least(ps.PhotonDistribution.poisson(m), 2)
 
 
 def click_stats(*components: Triple) -> ClickStats:
@@ -133,6 +137,6 @@ def key_events(tau: float, beta: float, mup: float, e: float, d: float) -> tuple
 
 
 def error_rate(accepted: float, errors: float) -> float:
-    if accepted <= 0.0:
+    if np.any(accepted <= 0.0):
         raise UndefinedRateError("no accepted events: QBER undefined")
     return errors / accepted

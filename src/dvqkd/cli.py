@@ -213,8 +213,8 @@ def _cmd_point(args: argparse.Namespace) -> int:
         "p_coincidence": clicks.p_coincidence,
         "omega1": omega1,
         "omega2plus": omega2plus,
-        "nonclassical": witness.is_nonclassical(clicks),
-        "nongaussian": witness.is_nongaussian(clicks),
+        "nonclassical": bool(witness.is_nonclassical(clicks)),
+        "nongaussian": bool(witness.is_nongaussian(clicks)),
     }
     _emit([row], list(row.keys()), args)
     return EXIT_OK
@@ -230,8 +230,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         stats = witness.ClickStats(
             p_single=args.ps, p_coincidence=args.pc, p_none=1.0 - args.ps - args.pc
         )
-        row["nonclassical"] = witness.is_nonclassical(stats)
-        row["nongaussian"] = witness.is_nongaussian(stats)
+        row["nonclassical"] = bool(witness.is_nonclassical(stats))
+        row["nongaussian"] = bool(witness.is_nongaussian(stats))
     _emit([row], list(row.keys()), args)
     return EXIT_OK
 

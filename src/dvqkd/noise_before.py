@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from . import channel
 from . import photon_stats as ps
 from .errors import ParameterDomainError
@@ -62,14 +64,16 @@ def _same_detector(survivors: ps.PhotonDistribution) -> float:
     """Chance that the survivors of a polarized noise pulse, at least one,
     all land in one given detector (weight 1/(j+1) for j survivors)."""
     x = survivors.mean
-    if x < _SERIES_BELOW:
-        total = 0.0
-        for c in _SERIES[survivors.kind]:
-            total = total * x + c
-        return total * x
+    # each branch sees only the means it is kept for, so neither overflows or divides by 0
+    small, large = np.minimum(x, _SERIES_BELOW), np.maximum(x, _SERIES_BELOW)
+    total = 0.0
+    for c in _SERIES[survivors.kind]:
+        total = total * small + c
     if survivors.kind == ps.THERMAL:
-        return math.log1p(x) / x - 1.0 / (1.0 + x)
-    return -math.expm1(-x) / x - math.exp(-x)
+        closed = np.log1p(large) / large - 1.0 / (1.0 + large)
+    else:
+        closed = -np.expm1(-large) / large - np.exp(-large)
+    return np.where(x < _SERIES_BELOW, total * small, closed)[()]
 
 
 def event_probs(params: NoiseBeforeParams) -> EventProbs:

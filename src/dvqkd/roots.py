@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
+
 from .errors import InfeasibleError
 
 XTOL = 1e-9  # absolute bracket width of bisect_root
@@ -44,21 +46,21 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def bisect_predicate(
-    pred: Callable[[float], bool], holds: float, fails: float
-) -> tuple[float, float]:
-    """Final bracket (holds, fails) around the edge of pred, given pred(holds)
-    and not pred(fails).
+def bisect_predicate(pred: Callable, holds, fails) -> tuple:
+    """Final brackets (holds, fails) around the edges of pred, given pred holds at
+    each ``holds`` and fails at each ``fails``: floats, or arrays taken elementwise.
 
-    The bracket ends may be in either order; it is halved until its width is
-    at most ``REL_TOL`` of its larger end.
+    The ends may be in either order; each bracket is halved until its width is
+    at most ``REL_TOL`` of its larger end and then left alone, so an element
+    ends as it would in a bisection of its own.
     """
+    live = True
     for _ in range(_MAX_STEPS):
         mid = 0.5 * (holds + fails)
-        if pred(mid):
-            holds = mid
-        else:
-            fails = mid
-        if abs(fails - holds) <= REL_TOL * max(abs(holds), abs(fails)):
+        ok = pred(mid)
+        holds = np.where(live & ok, mid, holds)
+        fails = np.where(live & np.logical_not(ok), mid, fails)
+        live = live & (np.abs(fails - holds) > REL_TOL * np.maximum(np.abs(holds), np.abs(fails)))
+        if not np.any(live):
             break
     return holds, fails

@@ -5,13 +5,15 @@ bit after error correction and privacy amplification, assuming collective
 attacks.  With an ideal single-photon source it reduces to 1 - 2 H(Q);
 with multiphoton emission only the fraction y of clicks caused by genuine
 single photons contributes, and the bound becomes y - H(Q) - y H(Q/y).
+The entropy and the secret fractions take floats or numpy arrays alike.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import InfeasibleError, ParameterDomainError
 from .roots import bisect_root
@@ -29,36 +31,34 @@ class KeyRateResult:
 
 def binary_entropy(q: float) -> float:
     """Shannon entropy of a bit with bias q, in bits; H(0) = H(1) = 0 by continuity."""
-    if not 0.0 <= q <= 1.0:
-        raise ParameterDomainError(f"entropy argument must be in [0, 1], got {q}")
-    if q == 0.0 or q == 1.0:
-        return 0.0
-    return -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)
+    _check_range("entropy argument", q, 1.0)
+    # at q = 0 or 1 the logarithm of the vanishing factor reads log2(1) = 0, not log2(0)
+    return -q * np.log2(q + (q == 0.0)) - (1.0 - q) * np.log2(1.0 - q + (q == 1.0))
+
+
+def _check_range(name: str, value, top: float) -> None:
+    if not np.all((0.0 <= value) & (value <= top)):
+        raise ParameterDomainError(f"{name} must be in [0, {top:g}], got {value}")
 
 
 def secret_fraction_ideal(q: float) -> float:
     """Secret fraction for an ideal single-photon source: max[0, 1 - 2H(q)]."""
-    if not 0.0 <= q <= 0.5:
-        raise ParameterDomainError(f"QBER must be in [0, 0.5], got {q}")
-    return max(0.0, 1.0 - 2.0 * binary_entropy(q))
+    _check_range("QBER", q, 0.5)
+    return np.maximum(0.0, 1.0 - 2.0 * binary_entropy(q))
 
 
 def secret_fraction_multiphoton(q: float, y: float) -> float:
     """Secret fraction when only a fraction y of clicks stems from single photons.
 
     Eve is assumed to read multiphoton pulses in full, so errors concentrate
-    on the single-photon part: max[0, y - H(q) - y H(q/y)].  For q > y the
-    bracket is negative and the bound is zero.
+    on the single-photon part: max[0, y - H(q) - y H(q/y)].  For y = 0 or
+    q > y the bracket is negative and the bound is zero.
     """
-    if not 0.0 <= q <= 0.5:
-        raise ParameterDomainError(f"QBER must be in [0, 0.5], got {q}")
-    if not 0.0 <= y <= 1.0:
-        raise ParameterDomainError(f"single-photon fraction must be in [0, 1], got {y}")
-    if y == 0.0:
-        return 0.0
-    if q > y:
-        return 0.0
-    return max(0.0, y - binary_entropy(q) - y * binary_entropy(q / y))
+    _check_range("QBER", q, 0.5)
+    _check_range("single-photon fraction", y, 1.0)
+    live = (y > 0.0) & (q <= y)
+    ratio = np.minimum(q, y) / np.where(y > 0.0, y, 1.0)  # q / y where live, else in [0, 1]
+    return np.maximum(0.0, y - binary_entropy(q) - y * binary_entropy(ratio)) * live
 
 
 @lru_cache(maxsize=1)

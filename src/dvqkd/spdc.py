@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import channel
 from . import photon_stats as ps
 from .errors import ParameterDomainError, UndefinedRateError
@@ -56,12 +58,12 @@ def herald_prob(nu: float) -> float:
 def key_stats(params: SpdcParams) -> SpdcKeyStats:
     """Accepted-event probability, multiphoton weight, y and QBER."""
     nu, T = params.nu, params.T
-    tau = -math.expm1(-nu * T)  # heralded and >= 1 signal photon survives
-    blocked = math.expm1(-nu * T) - math.expm1(-nu)  # heralded, every signal photon lost
+    tau = -np.expm1(-nu * T)  # heralded and >= 1 signal photon survives
+    blocked = np.expm1(-nu * T) - math.expm1(-nu)  # heralded, every signal photon lost
     pexp, errors = channel.key_events(tau, blocked, params.mu * (1.0 - T), params.e, params.d)
     q = channel.error_rate(pexp, errors)
     p_multi = float(ps.prob_at_least(ps.PhotonDistribution.poisson(nu), 2))
-    y = max(0.0, (pexp - p_multi) / pexp)
+    y = np.maximum(0.0, (pexp - p_multi) / pexp)
     return SpdcKeyStats(p_exp=pexp, p_multi=p_multi, single_photon_fraction=y, qber=q)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,30 +23,28 @@ from .errors import BoundaryDomainError, ParameterDomainError
 _SUM_TOL = 1e-10
 _NEG_CLAMP = -1e-12
 _EPS_FLOOR = 1e-6  # smallest 1-V in the curve grid; P_S reaches ~5e-7
-_REFINE_TOL = 1e-10  # absolute tolerance on P_S during local refinement
-NG_POINTS = 512  # grid points of the boundary table every witness query reads
+_NEWTON_STEPS = 8  # at most; from the table's Hermite start one step nearly always converges
+_NEWTON_TOL = 1e-8  # a Newton step this small leaves eps within ~1e-16
+NG_POINTS = 512  # grid points of the boundary table every witness query brackets in
 
 
 @dataclass(frozen=True)
 class ClickStats:
-    """Autocorrelation outcome probabilities: exactly one click, coincidence, none."""
+    """Autocorrelation outcome probabilities (floats or arrays): one click, coincidence, none."""
 
     p_single: float
     p_coincidence: float
     p_none: float
 
     def __post_init__(self) -> None:
-        for name, value in (
-            ("p_single", self.p_single),
-            ("p_coincidence", self.p_coincidence),
-            ("p_none", self.p_none),
-        ):
-            if not _NEG_CLAMP <= value <= 1.0 + 1e-12:
+        for name in ("p_single", "p_coincidence", "p_none"):
+            value = getattr(self, name)
+            if not np.all((_NEG_CLAMP <= value) & (value <= 1.0 + 1e-12)):
                 raise ParameterDomainError(f"{name} out of [0, 1]: {value}")
-            if value < 0.0:  # rounding noise from cancellation-safe closed forms
-                object.__setattr__(self, name, 0.0)
+            # rounding noise from cancellation-safe closed forms
+            object.__setattr__(self, name, np.maximum(value, 0.0))
         total = self.p_single + self.p_coincidence + self.p_none
-        if abs(total - 1.0) > _SUM_TOL:
+        if np.any(np.abs(total - 1.0) > _SUM_TOL):
             raise ParameterDomainError(f"click probabilities sum to {total}, expected 1")
 
 
@@ -66,14 +65,14 @@ def nc_boundary(p_single: float) -> float:
     weak-light limit P_C -> P_S^2 / 4; the larger root bounds the bunched
     side of the classical region and is not used here.
     """
-    if not 0.0 <= p_single <= 1.0:
+    if not np.all((0.0 <= p_single) & (p_single <= 1.0)):
         raise ParameterDomainError(f"p_single must be in [0, 1], got {p_single}")
-    if p_single > 0.5:
+    if np.any(p_single > 0.5):
         raise BoundaryDomainError(
             f"classical boundary undefined for p_single > 0.5 (got {p_single})"
         )
     # 0.5 (1 - sqrt(1 - 2 P_S)) without the difference of near-equal terms
-    root = p_single / (1.0 + math.sqrt(1.0 - 2.0 * p_single))
+    root = p_single / (1.0 + np.sqrt(1.0 - 2.0 * p_single))
     return root * root
 
 
@@ -82,7 +81,7 @@ def gaussian_boundary_point(v: float) -> NGBoundaryPoint:
     if not 0.0 < v < 1.0:
         raise ParameterDomainError(f"V must lie strictly inside (0, 1), got {v}")
     eps = 1.0 - v
-    ps, pc = _family(eps)
+    ps, pc, _ = _family(eps)
     return NGBoundaryPoint(v=v, n_of_v=_n_of_v(eps), p_single=ps, p_coincidence=pc)
 
 
@@ -91,40 +90,44 @@ def _n_of_v(eps: float) -> float:
     return eps * (2.0 - eps) * (4.0 - eps) / ((1.0 - eps) * (4.0 - 3.0 * eps))
 
 
-def _family(eps: float) -> tuple[float, float]:
-    """Cancellation-safe (P_S, P_C) for the Gaussian family member at eps = 1 - V.
+def _libm(fn):
+    # libm element by element: numpy's vector kernels round the last bit differently on
+    # some CPUs, and P_C's cancellation at small eps would show that bit in the table
+    elementwise = np.frompyfunc(fn, 1, 1)
+    return lambda x: np.asarray(elementwise(x), dtype=float)
+
+
+_log1p, _expm1 = _libm(math.log1p), _libm(math.expm1)
+
+
+def _family(eps):
+    """Cancellation-safe (P_S, P_C, dP_S/deps) of the Gaussian family member at eps = 1 - V.
 
     The defining pair fixes the two no-click probabilities R1 (one detector
     silent) and R2 (both silent); then P_S = 2 (R1 - R2) and
     P_C = 1 - 2 R1 + R2.  Both R's approach 1 for V -> 1, so the complements
-    D = 1 - R are computed directly from log/expm1 forms: the absolute error
-    then scales with D rather than with 1, keeping P_C accurate down to the
-    P_S ~ 1e-5 regime needed for small-transmittance sweeps.
+    D = 1 - R = -expm1(a) are computed directly from log/expm1 forms: the
+    absolute error then scales with D rather than with 1.  P_C still cancels
+    to a relative error of about 1.6e-15 / eps^2.  eps may be an array.
     """
     v = 1.0 - eps
     n = _n_of_v(eps)
-    # log of the exponential-free prefactors of R2 = 2 sqrt(V)/(V+1) * exp(...)
-    # and R1 = 4 sqrt(V)/sqrt((3V+1)(3+V)) * exp(...)
-    g2 = 0.5 * math.log1p(-eps) - math.log1p(-0.5 * eps)
-    g1 = 0.5 * (math.log1p(-eps) - math.log1p(-eps + 3.0 * eps * eps / 16.0))
-    d1 = -math.expm1(g1 - n / (6.0 + 2.0 * v))
-    d2 = -math.expm1(g2 - n / (2.0 + 2.0 * v))
-    return 2.0 * (d2 - d1), 2.0 * d1 - d2
+    # a_k = log R_k: R2 = 2 sqrt(V)/(V+1) e^(-n/(2+2V)), R1 = 4 sqrt(V/((3V+1)(3+V))) e^(-n/(6+2V))
+    lead = _log1p(-eps)
+    a1 = 0.5 * (lead - _log1p(-eps + 3.0 * eps * eps / 16.0)) - n / (6.0 + 2.0 * v)
+    a2 = 0.5 * lead - _log1p(-0.5 * eps) - n / (2.0 + 2.0 * v)
+    d1, d2 = -_expm1(a1), -_expm1(a2)
+    # dP_S/deps from D' = -(1 - D) a', where a1' = q / (2 (4 - eps)) and a2' = q / (2 (2 - eps))
+    q = (((9.0 * eps - 38.0) * eps + 42.0) * eps + 16.0) * eps - 32.0
+    slope = q / (v * (4.0 - 3.0 * eps)) ** 2 * ((1.0 - d1) / (4.0 - eps) - (1.0 - d2) / (2.0 - eps))
+    return 2.0 * (d2 - d1), 2.0 * d1 - d2, slope
 
 
-@dataclass(frozen=True)
-class _NgCurve:
+class _NgCurve(NamedTuple):
     eps: np.ndarray  # increasing; V = 1 - eps decreasing
     p_single: np.ndarray  # increasing along the kept branch
     p_coincidence: np.ndarray
-
-    @property
-    def ps_min(self) -> float:
-        return float(self.p_single[0])
-
-    @property
-    def ps_max(self) -> float:
-        return float(self.p_single[-1])
+    slope: np.ndarray  # dP_S/deps
 
 
 @lru_cache(maxsize=4)
@@ -133,27 +136,17 @@ def _build_curve(num_points: int) -> _NgCurve:
         raise ParameterDomainError(f"num_points must be >= 16, got {num_points}")
     # warped grid accumulating near V = 1, where the curve compresses to the origin
     eps_grid = np.geomspace(_EPS_FLOOR, 0.75, num_points)
-    ps = np.empty(num_points)
-    pc = np.empty(num_points)
-    for i, eps in enumerate(eps_grid):
-        ps[i], pc[i] = _family(float(eps))
-    # keep the monotone lower branch: P_S rising from the V -> 1 end up to its turning point
-    keep = [i for i in range(num_points) if ps[i] > 0.0 and 0.0 < pc[i] < 1.0]
-    cut = []
-    last_ps = 0.0
-    last_pc = 0.0
-    for i in keep:
-        if ps[i] <= last_ps:
-            break
-        if pc[i] < last_pc:  # rounding noise at the grid floor
-            continue
-        cut.append(i)
-        last_ps = ps[i]
-        last_pc = pc[i]
-    if len(cut) < 2:
+    ps, pc, slope = _family(eps_grid)
+    valid = (ps > 0.0) & (pc > 0.0) & (pc < 1.0)
+    eps_grid, ps, pc, slope = eps_grid[valid], ps[valid], pc[valid], slope[valid]
+    # keep the monotone lower branch, P_S rising from the V -> 1 end up to its turning
+    # point, without the rows whose P_C falls back (rounding noise at the grid floor)
+    turn = np.flatnonzero(np.diff(ps) <= 0.0)
+    rising = turn[0] + 1 if turn.size else ps.size
+    idx = np.flatnonzero(pc[:rising] >= np.maximum.accumulate(pc[:rising]))
+    if idx.size < 2:
         raise BoundaryDomainError("degenerate non-Gaussianity boundary curve")
-    idx = np.asarray(cut)
-    return _NgCurve(eps=eps_grid[idx], p_single=ps[idx], p_coincidence=pc[idx])
+    return _NgCurve(eps_grid[idx], ps[idx], pc[idx], slope[idx])
 
 
 def ng_boundary_curve(num_points: int = NG_POINTS) -> tuple[NGBoundaryPoint, ...]:
@@ -175,40 +168,51 @@ def ng_boundary_curve(num_points: int = NG_POINTS) -> tuple[NGBoundaryPoint, ...
     )
 
 
-def ng_boundary(p_single: float) -> float:
-    """Maximal Gaussian-mixture coincidence deficit at the given P_S.
+def ng_boundary(p_single):
+    """Maximal Gaussian-mixture coincidence deficit at the given P_S (a float or an array).
 
-    Interpolates the precomputed boundary curve and refines by bisection on
-    the V parametrization until the bracketing P_S matches the query to
-    within 1e-10.
+    The precomputed boundary curve brackets the family parameter eps = 1 - V
+    and starts it by cubic Hermite interpolation; Newton's method on P_S(eps)
+    then inverts to full precision, taking a bisection step whenever a Newton
+    step would leave the bracket, and P_C is read at eps rounded to the
+    precision P_C holds.  Each element stops once its own step is below
+    ``_NEWTON_TOL``, so its result does not depend on the others.
     """
-    if not 0.0 <= p_single <= 1.0:
-        raise ParameterDomainError(f"p_single must be in [0, 1], got {p_single}")
     curve = _build_curve(NG_POINTS)
-    if not curve.ps_min <= p_single <= curve.ps_max:
+    floor, top = curve.p_single[0], curve.p_single[-1]
+    if not np.all((0.0 <= p_single) & (p_single <= 1.0)):
+        raise ParameterDomainError(f"p_single must be in [0, 1], got {p_single}")
+    if not np.all((floor <= p_single) & (p_single <= top)):
         raise BoundaryDomainError(
-            f"p_single={p_single:g} outside the tabulated boundary span "
-            f"[{curve.ps_min:g}, {curve.ps_max:g}]"
+            f"p_single={p_single} outside the tabulated boundary span [{floor:g}, {top:g}]"
         )
-    i = int(np.searchsorted(curve.p_single, p_single))
-    if curve.p_single[i] == p_single:
-        return float(curve.p_coincidence[i])
-    lo_eps, hi_eps = float(curve.eps[i - 1]), float(curve.eps[i])
-    # P_S grows with eps on the kept branch
-    for _ in range(200):
-        mid = 0.5 * (lo_eps + hi_eps)
-        ps_mid, _ = _family(mid)
-        if abs(ps_mid - p_single) <= _REFINE_TOL:
-            lo_eps = hi_eps = mid
+    i = np.clip(np.searchsorted(curve.p_single, p_single), 1, curve.eps.size - 1)
+    lo, hi = curve.eps[i - 1], curve.eps[i]
+    width = curve.p_single[i] - curve.p_single[i - 1]
+    t = (p_single - curve.p_single[i - 1]) / width
+    u, d_lo, d_hi = 1.0 - t, width / curve.slope[i - 1], width / curve.slope[i]
+    eps = u * u * ((1.0 + 2.0 * t) * lo + t * d_lo) + t * t * ((3.0 - 2.0 * t) * hi - u * d_hi)
+    live = True
+    for _ in range(_NEWTON_STEPS):  # P_S grows with eps on the kept branch
+        ps, _, slope = _family(eps)
+        lo = np.where(ps < p_single, eps, lo)
+        hi = np.where(ps > p_single, eps, hi)
+        step = eps - (ps - p_single) / slope
+        step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+        done = np.abs(step - eps) <= _NEWTON_TOL * eps
+        eps = np.where(live, step, eps)
+        live = live & np.logical_not(done)
+        if not np.any(live):
             break
-        if ps_mid < p_single:
-            lo_eps = mid
-        else:
-            hi_eps = mid
-    return _family(0.5 * (lo_eps + hi_eps))[1]
+    # eps on a binary grid three to seven times finer than P_C's rounding error: off it,
+    # P_C would change its rounding at every last bit of P_S, and the non-Gaussianity
+    # test would flicker in mu below P_S ~ 1e-4
+    mantissa, exponent = np.frexp(eps)
+    bits = 2 * exponent + 51
+    return _family(np.ldexp(np.round(np.ldexp(mantissa, bits)), exponent - bits))[1][()]
 
 
-def is_nonclassical(stats: ClickStats) -> bool:
+def is_nonclassical(stats: ClickStats):
     """True when no classical intensity mixture reproduces the click statistics.
 
     For P_S <= 1/2 this is the strict comparison against the boundary, so
@@ -216,35 +220,23 @@ def is_nonclassical(stats: ClickStats) -> bool:
     mixture reaches P_S > 1/2 at all, so brighter single-click statistics
     are flagged outright instead of raising the boundary's domain error.
     """
-    if stats.p_single > 0.5:
-        return True
-    return stats.p_coincidence < nc_boundary(stats.p_single)
+    ps = stats.p_single
+    return (ps > 0.5) | (stats.p_coincidence < nc_boundary(np.minimum(ps, 0.5)))
 
 
-def is_nongaussian(stats: ClickStats) -> bool:
+def is_nongaussian(stats: ClickStats):
     """True when no Gaussian mixture reproduces the click statistics.
 
     Above the largest single-click probability attainable by the Gaussian
-    family the achievable region is empty and every state is flagged;
-    otherwise the strict comparison against the boundary decides.
+    family the achievable region is empty and every state is flagged; at or
+    below the tabulated floor the light is indistinguishable from vacuum and
+    never flagged; in between the strict comparison against the boundary
+    decides.
     """
     curve = _build_curve(NG_POINTS)
-    if stats.p_single > curve.ps_max:
-        return True
-    if stats.p_single <= curve.ps_min:
-        # indistinguishable from vacuum at the tabulated floor; never flagged
-        return False
-    return stats.p_coincidence < ng_boundary(stats.p_single)
-
-
-def simplified_nc(omega1: float, omega2plus: float) -> bool:
-    """Small-signal nonclassicality criterion on arrival probabilities."""
-    return 0.5 * omega1 * omega1 > omega2plus
-
-
-def simplified_ng(omega1: float, omega2plus: float) -> bool:
-    """Small-signal non-Gaussianity criterion on arrival probabilities."""
-    return omega1**3 > omega2plus
+    floor, top, ps = curve.p_single[0], curve.p_single[-1], stats.p_single
+    below = stats.p_coincidence < ng_boundary(np.clip(ps, floor, top))
+    return (ps > top) | ((floor < ps) & (ps <= top) & below)
 
 
 def combine(a: tuple, b: tuple, weight: float = 0.5) -> tuple[float, float, float]:
@@ -262,18 +254,3 @@ def combine(a: tuple, b: tuple, weight: float = 0.5) -> tuple[float, float, floa
         s1 * n2 + n1 * s2 + (1.0 - weight) * cross,
         c1 + c2 - c1 * c2 + weight * cross,
     )
-
-
-def apply_detector_darkcounts(stats: ClickStats, d: float) -> ClickStats:
-    """Click statistics as read from detectors firing spuriously with probability d.
-
-    Each detector adds an independent dark count: one more light component
-    with triple ((1-d)^2, 2d(1-d), d^2).
-    """
-    if not 0.0 <= d < 1.0:
-        raise ParameterDomainError(f"dark-count probability must be in [0, 1), got {d}")
-    none, single, coinc = combine(
-        (stats.p_none, stats.p_single, stats.p_coincidence),
-        ((1.0 - d) ** 2, 2.0 * d * (1.0 - d), d * d),
-    )
-    return ClickStats(p_single=single, p_coincidence=coinc, p_none=none)

@@ -14,12 +14,14 @@ from typing import Callable
 
 import numpy as np
 
+from dvqkd import channel
 from dvqkd.errors import ParameterDomainError
 from dvqkd.montecarlo import McEstimate, _bernoulli_estimate
 from dvqkd.noise_before import EventProbs, NoiseBeforeParams
 from dvqkd.photon_stats import THERMAL, PhotonDistribution
 from dvqkd.spdc import SpdcParams
 from dvqkd.thermal_bath import ThermalBathParams
+from dvqkd.witness import ClickStats, combine
 
 _LOG_SPACE_CUTOFF = 64  # direct powers are exact enough below this order
 
@@ -318,3 +320,33 @@ def same_detector_fraction(j: int, samples: int, seed: int) -> McEstimate:
     at_right = rng.binomial(np.full(samples, j), x)
     same = (at_right == 0) | (at_right == j)
     return _bernoulli_estimate(int(same.sum()), samples)
+
+
+def model_omega(params) -> tuple[float, float]:
+    """(exactly one, more than one) photon arriving at Bob, for any channel model."""
+    return channel.model(params).module.omega(params)
+
+
+def simplified_nc(omega1: float, omega2plus: float) -> bool:
+    """Small-signal nonclassicality criterion on arrival probabilities."""
+    return 0.5 * omega1 * omega1 > omega2plus
+
+
+def simplified_ng(omega1: float, omega2plus: float) -> bool:
+    """Small-signal non-Gaussianity criterion on arrival probabilities."""
+    return omega1**3 > omega2plus
+
+
+def apply_detector_darkcounts(stats: ClickStats, d: float) -> ClickStats:
+    """Click statistics as read from detectors firing spuriously with probability d.
+
+    Each detector adds an independent dark count: one more light component
+    with triple ((1-d)^2, 2d(1-d), d^2).
+    """
+    if not 0.0 <= d < 1.0:
+        raise ParameterDomainError(f"dark-count probability must be in [0, 1), got {d}")
+    none, single, coinc = combine(
+        (stats.p_none, stats.p_single, stats.p_coincidence),
+        ((1.0 - d) ** 2, 2.0 * d * (1.0 - d), d * d),
+    )
+    return ClickStats(p_single=single, p_coincidence=coinc, p_none=none)

