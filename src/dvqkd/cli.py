@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -36,10 +37,6 @@ _CRITERION_ALIASES = {
 SWEEP_HEADER = "model,criterion,T,mu_max,feasible"
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.8e}"
-
-
 class _CliError(Exception):
     pass
 
@@ -52,6 +49,10 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dvqkd", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default=None, help="output path (default stdout)")
+    output.add_argument("--format", choices=["csv", "json"], default="csv")
+    command = functools.partial(sub.add_parser, parents=[output])
 
     def add_model_args(p: argparse.ArgumentParser, with_mu: bool = True) -> None:
         models = sorted(entry.name for entry in channel.MODELS.values())
@@ -64,43 +65,31 @@ def _build_parser() -> _Parser:
         p.add_argument("--d", type=float, default=0.0, help="dark-count probability per gate")
         p.add_argument("--noise", choices=["thermal", "poisson"], default="thermal")
 
-    sw = sub.add_parser("sweep", help="mu_max(T) boundary curves over a transmittance grid")
+    sw = command("sweep", help="mu_max(T) boundary curves over a transmittance grid")
     add_model_args(sw, with_mu=False)
     sw.add_argument("--criteria", default="security", help="comma list: security,nc,ng")
     sw.add_argument("--t-grid", required=True, help="min:max:count:log|lin")
-    sw.add_argument("--out", default=None, help="output path (default stdout)")
-    sw.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    pt = sub.add_parser("point", help="all statistics at one parameter point")
+    pt = command("point", help="all statistics at one parameter point")
     add_model_args(pt)
     pt.add_argument("--t", type=float, required=True)
-    pt.add_argument("--out", default=None)
-    pt.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    wt = sub.add_parser("witness", help="witness boundaries at a given P_S")
+    wt = command("witness", help="witness boundaries at a given P_S")
     wt.add_argument("--ps", type=float, required=True)
     wt.add_argument("--pc", type=float, default=None, help="optional coincidence to classify")
-    wt.add_argument("--out", default=None)
-    wt.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    tm = sub.add_parser("tmin", help="minimal secure transmittance, numeric and analytic")
+    tm = command("tmin", help="minimal secure transmittance, numeric and analytic")
     add_model_args(tm)
-    tm.add_argument("--out", default=None)
-    tm.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    mc = sub.add_parser("mc-validate", help="analytic statistics against the Monte Carlo oracle")
+    mc = command("mc-validate", help="analytic statistics against the Monte Carlo oracle")
     add_model_args(mc)
     mc.add_argument("--t", type=float, default=0.5)
     mc.add_argument("--samples", type=float, default=1e6)
     mc.add_argument("--seed", type=int, default=0)
-    mc.add_argument("--out", default=None)
-    mc.add_argument("--format", choices=["csv", "json"], default="csv")
     mc.set_defaults(mu=0.1, nu=0.05)
 
-    ng = sub.add_parser("ng-curve", help="dump the non-Gaussianity boundary table")
-    ng.add_argument("--points", type=int, default=512)
-    ng.add_argument("--out", default=None)
-    ng.add_argument("--format", choices=["csv", "json"], default="csv")
+    ng = command("ng-curve", help="dump the non-Gaussianity boundary table")
+    ng.add_argument("--points", type=int, default=witness.NG_POINTS)
 
     return parser
 
@@ -134,11 +123,6 @@ def _make_params(args: argparse.Namespace, t: float, mu: float):
     return params_type(**{f.name: values[f.name] for f in dataclasses.fields(params_type)})
 
 
-def _resolved_config(args: argparse.Namespace) -> dict:
-    cfg = {k: v for k, v in sorted(vars(args).items()) if k not in ("out", "format")}
-    return cfg
-
-
 def _emit(rows: list[dict], header: list[str], args: argparse.Namespace) -> None:
     if args.format == "csv":
         lines = [",".join(header)]
@@ -146,8 +130,8 @@ def _emit(rows: list[dict], header: list[str], args: argparse.Namespace) -> None
             lines.append(",".join(_cell(row[h]) for h in header))
         text = "\n".join(lines) + "\n"
     else:
-        payload = {"meta": _resolved_config(args), "rows": rows}
-        text = json.dumps(payload, indent=2, default=_cell) + "\n"
+        meta = {k: v for k, v in sorted(vars(args).items()) if k not in ("out", "format")}
+        text = json.dumps({"meta": meta, "rows": rows}, indent=2, default=_cell) + "\n"
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)
@@ -159,12 +143,8 @@ def _cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return _fmt(value)
+        return f"{value:.8e}"
     return str(value)
-
-
-def _criterion_order(criterion: str) -> int:
-    return boundary.CRITERIA.index(criterion)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -176,23 +156,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         criteria.append(_CRITERION_ALIASES[key])
     t_grid = _parse_t_grid(args.t_grid)
     params = _make_params(args, t=t_grid[0], mu=0.0)
-    rows = []
-    any_feasible = False
-    for criterion in sorted(set(criteria), key=_criterion_order):
-        curve = boundary.sweep(params, criterion, t_grid)
-        for pt in curve.points:
-            any_feasible = any_feasible or pt.feasible
-            rows.append(
-                {
-                    "model": curve.model,
-                    "criterion": criterion,
-                    "T": pt.T,
-                    "mu_max": pt.mu_max,
-                    "feasible": pt.feasible,
-                }
-            )
+    rows = [
+        {"model": args.model, "criterion": criterion, **dataclasses.asdict(pt)}
+        for criterion in sorted(set(criteria), key=boundary.CRITERIA.index)
+        for pt in boundary.sweep(params, criterion, t_grid).points
+    ]
     _emit(rows, SWEEP_HEADER.split(","), args)
-    return EXIT_OK if any_feasible else EXIT_ALL_INFEASIBLE
+    return EXIT_OK if any(row["feasible"] for row in rows) else EXIT_ALL_INFEASIBLE
 
 
 def _cmd_point(args: argparse.Namespace) -> int:
@@ -298,11 +268,15 @@ def _analytic_reference(params) -> dict:
 def _cmd_ng_curve(args: argparse.Namespace) -> int:
     if args.points > MAX_POINTS:
         raise _CliError(f"points must be at most {MAX_POINTS}, got {args.points}")
-    rows = [
-        {"V": pt.v, "n": pt.n_of_v, "p_single": pt.p_single, "p_coincidence": pt.p_coincidence}
-        for pt in witness.ng_boundary_curve(args.points)
-    ]
-    _emit(rows, ["V", "n", "p_single", "p_coincidence"], args)
+    curve = witness.ng_boundary_curve(args.points)
+    columns = {
+        "V": 1.0 - curve.eps,
+        "n": witness.n_of_v(curve.eps),
+        "p_single": curve.p_single,
+        "p_coincidence": curve.p_coincidence,
+    }
+    rows = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
+    _emit(rows, list(columns), args)
     return EXIT_OK
 
 

@@ -17,6 +17,7 @@ the leading-order regime the analytic expressions encode.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -65,15 +66,9 @@ def _sample_noise(rng: np.random.Generator, dist: ps.PhotonDistribution, n: int)
     return rng.poisson(dist.mean, size=n).astype(np.int64)
 
 
-class _Tally:
-    def __init__(self) -> None:
-        self.counts: dict[str, int] = {}
-        self.n = 0
-
-    def add(self, n: int, **indicator_counts: int) -> None:
-        self.n += n
-        for name, c in indicator_counts.items():
-            self.counts[name] = self.counts.get(name, 0) + int(c)
+def _counts(**indicators: np.ndarray) -> dict[str, int]:
+    """How many pulses of a block each indicator marks, named by the estimate it feeds."""
+    return {name: int(np.count_nonzero(marks)) for name, marks in indicators.items()}
 
 
 def simulate(params, config: McConfig, target: str = KEY) -> dict[str, McEstimate]:
@@ -86,45 +81,41 @@ def simulate(params, config: McConfig, target: str = KEY) -> dict[str, McEstimat
     if target not in (KEY, AUTOCORR):
         raise ParameterDomainError(f"unknown target geometry: {target!r}")
     signal, block = _BLOCKS[channel.model(params).name]
-    tally = _Tally()
-    done = 0
-    block_index = 0
-    while done < config.samples:
-        n = min(_BLOCK, config.samples - done)
+    counts = Counter()
+    for block_index, start in enumerate(range(0, config.samples, _BLOCK)):
         rng = np.random.default_rng([config.seed, block_index])
-        block(rng, params, n, target, tally, signal)
-        done += n
-        block_index += 1
-    return _assemble(tally, target)
+        counts.update(block(rng, params, min(_BLOCK, config.samples - start), target, signal))
+    return _assemble(counts, config.samples)
 
 
-def _assemble(tally: _Tally, target: str) -> dict[str, McEstimate]:
-    n = tally.n
-    c = tally.counts
-    if target == AUTOCORR:
-        return {
-            "p_single": _bernoulli_estimate(c["single"], n),
-            "p_coincidence": _bernoulli_estimate(c["coinc"], n),
-            "p_none": _bernoulli_estimate(c["none"], n),
-            "omega1": _bernoulli_estimate(c["omega1"], n),
-            "omega2plus": _bernoulli_estimate(c["omega2plus"], n),
-        }
-    out = {"p_exp": _bernoulli_estimate(c["accepted"], n)}
-    n_acc = c["accepted"]
-    if n_acc > 0:
-        out["qber"] = _bernoulli_estimate(c["error"], n_acc)
-    for name, key in (
-        ("p_exp_signal", "accepted_signal"),
-        ("p_exp_noise", "accepted_noise"),
-        ("p_exp_noise_signal", "accepted_noise_signal"),
-        ("p_exp_dark", "accepted_dark"),
-    ):
-        if key in c:
-            out[name] = _bernoulli_estimate(c[key], n)
-    if "multi" in c:
-        out["p_multi"] = _bernoulli_estimate(c["multi"], n)
+# every estimate in output order, named as its count; each is a fraction of all
+# samples except qber, a fraction of the accepted events
+_ESTIMATES = (
+    "p_exp",
+    "qber",
+    "p_exp_signal",
+    "p_exp_noise",
+    "p_exp_noise_signal",
+    "p_exp_dark",
+    "p_multi",
+    "p_single",
+    "p_coincidence",
+    "p_none",
+    "omega1",
+    "omega2plus",
+)
+
+
+def _assemble(counts: Counter, n: int) -> dict[str, McEstimate]:
+    """Estimates of every counted statistic; qber only when some event was accepted."""
+    out = {}
+    for name in _ESTIMATES:
+        total = counts["p_exp"] if name == "qber" else n
+        if name in counts and total > 0:
+            out[name] = _bernoulli_estimate(counts[name], total)
+    if "p_multi" in counts:
         out["y"] = _ratio_estimate(
-            multi=c["multi"], acc=n_acc, both=c["multi_and_accepted"], n=n
+            multi=counts["p_multi"], acc=counts["p_exp"], both=counts["multi_and_accepted"], n=n
         )
     return out
 
@@ -152,15 +143,14 @@ def _depolarization_flips(rng: np.random.Generator, e: float, n: int) -> np.ndar
 
 def _key_clicks(
     rng: np.random.Generator,
-    tally: _Tally,
     n: int,
     signal_arrives: np.ndarray,
     flipped: np.ndarray,
     right_noise: np.ndarray,
     wrong_noise: np.ndarray,
     d: float,
-    multi: np.ndarray | None = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
+    """(accepted, erroneous) pulse indicators: exactly one detector clicks, the wrong one."""
     signal_right = signal_arrives & ~flipped
     signal_wrong = signal_arrives & flipped
     real_right = signal_right | (right_noise >= 1)
@@ -171,28 +161,18 @@ def _key_clicks(
     click_right = real_right | (~any_real & dark_right)
     click_wrong = real_wrong | (~any_real & dark_wrong)
     accepted = click_right ^ click_wrong
-    error = accepted & click_wrong
-    extra: dict[str, int] = {}
-    if multi is not None:
-        extra["multi"] = int(multi.sum())
-        extra["multi_and_accepted"] = int((multi & accepted).sum())
-    tally.add(n, accepted=accepted.sum(), error=error.sum(), **extra)
-    return accepted
+    return accepted, accepted & click_wrong
 
 
-def _autocorr_clicks(rng: np.random.Generator, tally: _Tally, arrivals: np.ndarray) -> None:
-    n = arrivals.shape[0]
+def _autocorr_clicks(rng: np.random.Generator, arrivals: np.ndarray) -> dict[str, int]:
     at_a = rng.binomial(arrivals, 0.5)
     at_b = arrivals - at_a
-    single = (arrivals >= 1) & ((at_a == 0) | (at_b == 0))
-    coinc = (at_a >= 1) & (at_b >= 1)
-    tally.add(
-        n,
-        single=single.sum(),
-        coinc=coinc.sum(),
-        none=(arrivals == 0).sum(),
-        omega1=(arrivals == 1).sum(),
-        omega2plus=(arrivals >= 2).sum(),
+    return _counts(
+        p_single=(arrivals >= 1) & ((at_a == 0) | (at_b == 0)),
+        p_coincidence=(at_a >= 1) & (at_b >= 1),
+        p_none=arrivals == 0,
+        omega1=arrivals == 1,
+        omega2plus=arrivals >= 2,
     )
 
 
@@ -236,46 +216,46 @@ def _heralded_pairs(rng: np.random.Generator, params, n: int) -> tuple[np.ndarra
     return rng.binomial(pairs, params.T), pairs >= 2
 
 
-def _block_bath(rng: np.random.Generator, params, n: int, target: str, tally: _Tally, signal) -> None:
+def _block_bath(rng: np.random.Generator, params, n: int, target: str, signal) -> dict[str, int]:
     arriving, multi = signal(rng, params, n)
     bath = params.bath()
     # bath photons couple into Bob's path through the reflected (1-T) port
     right = rng.binomial(_sample_noise(rng, bath, n), 1.0 - params.T)
     wrong = rng.binomial(_sample_noise(rng, bath, n), 1.0 - params.T)
-    if target == KEY:
-        flipped = _depolarization_flips(rng, params.e, n)
-        _key_clicks(rng, tally, n, arriving >= 1, flipped, right, wrong, params.d, multi=multi)
-    else:
-        _autocorr_clicks(rng, tally, arriving + right + wrong)
+    if target == AUTOCORR:
+        return _autocorr_clicks(rng, arriving + right + wrong)
+    flipped = _depolarization_flips(rng, params.e, n)
+    accepted, error = _key_clicks(rng, n, arriving >= 1, flipped, right, wrong, params.d)
+    if multi is None:
+        return _counts(p_exp=accepted, qber=error)
+    return _counts(p_exp=accepted, qber=error, p_multi=multi, multi_and_accepted=multi & accepted)
 
 
 def _block_noise_before(
-    rng: np.random.Generator, params, n: int, target: str, tally: _Tally, signal
-) -> None:
+    rng: np.random.Generator, params, n: int, target: str, signal
+) -> dict[str, int]:
     arriving, _ = signal(rng, params, n)
     transmitted = arriving >= 1
     survivors = rng.binomial(_sample_noise(rng, params.noise(), n), params.T)
-    if target == KEY:
-        # one random polarization per noise pulse; the relative phase never
-        # enters any routing probability but is drawn to mirror the state
-        x = rng.random(n)
-        rng.random(n)  # phase
-        at_right = rng.binomial(survivors, x)
-        at_wrong = survivors - at_right
-        flipped = _depolarization_flips(rng, params.e, n)
-        accepted = _key_clicks(
-            rng, tally, n, transmitted, flipped, at_right, at_wrong, params.d
-        )
-        noisy = survivors >= 1
-        tally.add(
-            0,
-            accepted_signal=(accepted & transmitted & ~noisy).sum(),
-            accepted_noise=(accepted & ~transmitted & noisy).sum(),
-            accepted_noise_signal=(accepted & transmitted & noisy).sum(),
-            accepted_dark=(accepted & ~transmitted & ~noisy).sum(),
-        )
-    else:
-        _autocorr_clicks(rng, tally, arriving + survivors)
+    if target == AUTOCORR:
+        return _autocorr_clicks(rng, arriving + survivors)
+    # one random polarization per noise pulse; the relative phase never
+    # enters any routing probability but is drawn to mirror the state
+    x = rng.random(n)
+    rng.random(n)  # phase
+    at_right = rng.binomial(survivors, x)
+    at_wrong = survivors - at_right
+    flipped = _depolarization_flips(rng, params.e, n)
+    accepted, error = _key_clicks(rng, n, transmitted, flipped, at_right, at_wrong, params.d)
+    noisy = survivors >= 1
+    return _counts(
+        p_exp=accepted,
+        qber=error,
+        p_exp_signal=accepted & transmitted & ~noisy,
+        p_exp_noise=accepted & ~transmitted & noisy,
+        p_exp_noise_signal=accepted & transmitted & noisy,
+        p_exp_dark=accepted & ~transmitted & ~noisy,
+    )
 
 
 # registry name -> (signal sampler, noise coupling); the draw order of every

@@ -90,21 +90,12 @@ def event_probs(params: NoiseBeforeParams) -> EventProbs:
     )
 
 
-def _key_events(params: NoiseBeforeParams) -> tuple[float, float]:
-    ev = event_probs(params)
+def _key_events(params: NoiseBeforeParams, ev: EventProbs) -> tuple[float, float]:
     return sum(ev), 0.5 * (params.e * (ev.signal + ev.noise_signal) + ev.noise + ev.dark)
 
 
-def p_exp(params: NoiseBeforeParams) -> float:
-    return sum(event_probs(params))
-
-
-def qber(params: NoiseBeforeParams) -> float:
-    return channel.error_rate(*_key_events(params))
-
-
 def key_rate(params: NoiseBeforeParams) -> KeyRateResult:
-    accepted, errors = _key_events(params)
+    accepted, errors = _key_events(params, event_probs(params))
     q = channel.error_rate(accepted, errors)
     return KeyRateResult(
         qber=q,
@@ -117,9 +108,10 @@ def key_rate(params: NoiseBeforeParams) -> KeyRateResult:
 def key_statistics(params: NoiseBeforeParams) -> dict[str, float]:
     """Key-geometry statistics per pulse, named as the Monte Carlo oracle names them."""
     ev = event_probs(params)
+    accepted, errors = _key_events(params, ev)
     return {
-        "p_exp": sum(ev),
-        "qber": qber(params),
+        "p_exp": accepted,
+        "qber": channel.error_rate(accepted, errors),
         "p_exp_signal": ev.signal,
         "p_exp_noise": ev.noise,
         "p_exp_noise_signal": ev.noise_signal,

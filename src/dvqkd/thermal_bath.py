@@ -38,16 +38,6 @@ def _key_events(params: ThermalBathParams) -> tuple[float, float]:
     return channel.key_events(kept, lost, params.mu * (1.0 - params.T), params.e, params.d)
 
 
-def p_exp(params: ThermalBathParams) -> float:
-    """Probability per pulse that Alice and Bob accept a (single-click) event."""
-    return _key_events(params)[0]
-
-
-def qber(params: ThermalBathParams) -> float:
-    """Expected quantum bit error rate among accepted events."""
-    return channel.error_rate(*_key_events(params))
-
-
 def key_rate(params: ThermalBathParams) -> KeyRateResult:
     accepted, errors = _key_events(params)
     q = channel.error_rate(accepted, errors)

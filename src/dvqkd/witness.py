@@ -48,16 +48,6 @@ class ClickStats:
             raise ParameterDomainError(f"click probabilities sum to {total}, expected 1")
 
 
-@dataclass(frozen=True)
-class NGBoundaryPoint:
-    """One point of the Gaussian-family boundary, parametrized by V in (0, 1)."""
-
-    v: float
-    n_of_v: float
-    p_single: float
-    p_coincidence: float
-
-
 def nc_boundary(p_single: float) -> float:
     """Largest classical coincidence deficit: the smaller root of the classical bound.
 
@@ -76,16 +66,8 @@ def nc_boundary(p_single: float) -> float:
     return root * root
 
 
-def gaussian_boundary_point(v: float) -> NGBoundaryPoint:
-    """(P_S, P_C) of the extremal displaced squeezed state with squeezing V."""
-    if not 0.0 < v < 1.0:
-        raise ParameterDomainError(f"V must lie strictly inside (0, 1), got {v}")
-    eps = 1.0 - v
-    ps, pc, _ = _family(eps)
-    return NGBoundaryPoint(v=v, n_of_v=_n_of_v(eps), p_single=ps, p_coincidence=pc)
-
-
-def _n_of_v(eps: float) -> float:
+def n_of_v(eps):
+    """Displacement of the Gaussian family member with squeezing V = 1 - eps (float or array)."""
     # (1 - V^2)(V + 3) / (V (3V + 1)) in the cancellation-free variable eps = 1 - V
     return eps * (2.0 - eps) * (4.0 - eps) / ((1.0 - eps) * (4.0 - 3.0 * eps))
 
@@ -111,7 +93,7 @@ def _family(eps):
     to a relative error of about 1.6e-15 / eps^2.  eps may be an array.
     """
     v = 1.0 - eps
-    n = _n_of_v(eps)
+    n = n_of_v(eps)
     # a_k = log R_k: R2 = 2 sqrt(V)/(V+1) e^(-n/(2+2V)), R1 = 4 sqrt(V/((3V+1)(3+V))) e^(-n/(6+2V))
     lead = _log1p(-eps)
     a1 = 0.5 * (lead - _log1p(-eps + 3.0 * eps * eps / 16.0)) - n / (6.0 + 2.0 * v)
@@ -123,7 +105,9 @@ def _family(eps):
     return 2.0 * (d2 - d1), 2.0 * d1 - d2, slope
 
 
-class _NgCurve(NamedTuple):
+class NgCurve(NamedTuple):
+    """The Gaussian-family boundary table, one array per column."""
+
     eps: np.ndarray  # increasing; V = 1 - eps decreasing
     p_single: np.ndarray  # increasing along the kept branch
     p_coincidence: np.ndarray
@@ -131,7 +115,13 @@ class _NgCurve(NamedTuple):
 
 
 @lru_cache(maxsize=4)
-def _build_curve(num_points: int) -> _NgCurve:
+def ng_boundary_curve(num_points: int = NG_POINTS) -> NgCurve:
+    """The Gaussian-mixture boundary traced over the squeezing parameter, read-only.
+
+    Rows are sorted by rising P_S; family members whose P_S has passed its
+    turning point (they bound the bunched side of the Gaussian region, not
+    the single-photon side) are discarded.
+    """
     if num_points < 16:
         raise ParameterDomainError(f"num_points must be >= 16, got {num_points}")
     # warped grid accumulating near V = 1, where the curve compresses to the origin
@@ -146,26 +136,10 @@ def _build_curve(num_points: int) -> _NgCurve:
     idx = np.flatnonzero(pc[:rising] >= np.maximum.accumulate(pc[:rising]))
     if idx.size < 2:
         raise BoundaryDomainError("degenerate non-Gaussianity boundary curve")
-    return _NgCurve(eps_grid[idx], ps[idx], pc[idx], slope[idx])
-
-
-def ng_boundary_curve(num_points: int = NG_POINTS) -> tuple[NGBoundaryPoint, ...]:
-    """The Gaussian-mixture boundary traced over the squeezing parameter.
-
-    Points are returned sorted by rising P_S; family members whose P_S has
-    passed its turning point (they bound the bunched side of the Gaussian
-    region, not the single-photon side) are discarded.
-    """
-    curve = _build_curve(num_points)
-    return tuple(
-        NGBoundaryPoint(
-            v=1.0 - float(e),
-            n_of_v=_n_of_v(float(e)),
-            p_single=float(s),
-            p_coincidence=float(c),
-        )
-        for e, s, c in zip(curve.eps, curve.p_single, curve.p_coincidence)
-    )
+    curve = NgCurve(eps_grid[idx], ps[idx], pc[idx], slope[idx])
+    for column in curve:  # every caller shares the cached arrays
+        column.setflags(write=False)
+    return curve
 
 
 def ng_boundary(p_single):
@@ -178,7 +152,7 @@ def ng_boundary(p_single):
     precision P_C holds.  Each element stops once its own step is below
     ``_NEWTON_TOL``, so its result does not depend on the others.
     """
-    curve = _build_curve(NG_POINTS)
+    curve = ng_boundary_curve(NG_POINTS)
     floor, top = curve.p_single[0], curve.p_single[-1]
     if not np.all((0.0 <= p_single) & (p_single <= 1.0)):
         raise ParameterDomainError(f"p_single must be in [0, 1], got {p_single}")
@@ -233,7 +207,7 @@ def is_nongaussian(stats: ClickStats):
     never flagged; in between the strict comparison against the boundary
     decides.
     """
-    curve = _build_curve(NG_POINTS)
+    curve = ng_boundary_curve(NG_POINTS)
     floor, top, ps = curve.p_single[0], curve.p_single[-1], stats.p_single
     below = stats.p_coincidence < ng_boundary(np.clip(ps, floor, top))
     return (ps > top) | ((floor < ps) & (ps <= top) & below)

@@ -21,7 +21,7 @@ from dvqkd.noise_before import EventProbs, NoiseBeforeParams
 from dvqkd.photon_stats import THERMAL, PhotonDistribution
 from dvqkd.spdc import SpdcParams
 from dvqkd.thermal_bath import ThermalBathParams
-from dvqkd.witness import ClickStats, combine
+from dvqkd.witness import ClickStats, _family, combine, n_of_v
 
 _LOG_SPACE_CUTOFF = 64  # direct powers are exact enough below this order
 
@@ -350,3 +350,22 @@ def apply_detector_darkcounts(stats: ClickStats, d: float) -> ClickStats:
         ((1.0 - d) ** 2, 2.0 * d * (1.0 - d), d * d),
     )
     return ClickStats(p_single=single, p_coincidence=coinc, p_none=none)
+
+
+@dataclass(frozen=True)
+class NGBoundaryPoint:
+    """One point of the Gaussian-family boundary, parametrized by V in (0, 1)."""
+
+    v: float
+    n_of_v: float
+    p_single: float
+    p_coincidence: float
+
+
+def gaussian_boundary_point(v: float) -> NGBoundaryPoint:
+    """(P_S, P_C) of the extremal displaced squeezed state with squeezing V."""
+    if not 0.0 < v < 1.0:
+        raise ParameterDomainError(f"V must lie strictly inside (0, 1), got {v}")
+    eps = 1.0 - v
+    ps, pc, _ = _family(eps)
+    return NGBoundaryPoint(v=v, n_of_v=n_of_v(eps), p_single=ps, p_coincidence=pc)

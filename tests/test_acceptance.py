@@ -194,16 +194,18 @@ def _analytic_statistics(params) -> dict:
         )
     elif isinstance(params, noise_before.NoiseBeforeParams):
         ev = noise_before.event_probs(params)
+        rate = noise_before.key_rate(params)
         out.update(
-            p_exp=noise_before.p_exp(params),
-            qber=noise_before.qber(params),
+            p_exp=rate.p_exp,
+            qber=rate.qber,
             p_exp_signal=ev.signal,
             p_exp_noise=ev.noise,
             p_exp_noise_signal=ev.noise_signal,
             p_exp_dark=ev.dark,
         )
     else:
-        out.update(p_exp=thermal_bath.p_exp(params), qber=thermal_bath.qber(params))
+        rate = thermal_bath.key_rate(params)
+        out.update(p_exp=rate.p_exp, qber=rate.qber)
     return out
 
 
@@ -243,10 +245,10 @@ def test_criterion_09_noise_statistics_divergence():
 
     # high transmittance: the security-relevant statistics separate clearly.
     # At T = 0.9 the error rate itself differs by far more than 5% ...
-    q_thermal = noise_before.qber(noise_before.NoiseBeforeParams(p=1.0, T=0.9, mu=1.0))
-    q_poisson = noise_before.qber(
+    q_thermal = noise_before.key_rate(noise_before.NoiseBeforeParams(p=1.0, T=0.9, mu=1.0)).qber
+    q_poisson = noise_before.key_rate(
         noise_before.NoiseBeforeParams(p=1.0, T=0.9, mu=1.0, noise_kind=ps.POISSON)
-    )
+    ).qber
     qber_gap = abs(q_thermal - q_poisson) / q_thermal
     assert qber_gap > 0.05
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import shlex
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dvqkd import cli
 from dvqkd.roots import REL_TOL
@@ -329,3 +333,85 @@ def test_cli_runtime_does_not_load_scipy():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert done.stdout.strip() == "False"
+
+
+# flag values with NaN, +-inf, 0, negatives and 1e300; sizes stay small (at most 1e4
+# Monte Carlo samples, 20 grid points and 64 table points) so each run takes milliseconds
+_NUMBER = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-1", "1e300", "-1e300", "1e-300"]),
+    st.floats(min_value=0.0, max_value=1.0).map(repr),
+    st.integers(min_value=-12, max_value=0).map(lambda k: f"1e{k}"),
+)
+_SAMPLES = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "-3", "2.5", "1e300"]),
+    st.integers(min_value=1, max_value=10_000).map(str),
+)
+_GRID = st.builds(
+    "{}:{}:{}:{}".format,
+    st.one_of(st.integers(min_value=-12, max_value=-1).map(lambda k: f"1e{k}"), _NUMBER),
+    st.one_of(st.just("1"), _NUMBER),
+    st.one_of(st.integers(min_value=2, max_value=20).map(str), st.sampled_from(["-1", "1", "nan"])),
+    st.sampled_from(["log", "lin", "cubic"]),
+)
+_MODEL = {
+    "--p": _NUMBER,
+    "--nu": _NUMBER,
+    "--mu": _NUMBER,
+    "--e": _NUMBER,
+    "--d": _NUMBER,
+    "--noise": st.sampled_from(["thermal", "poisson"]),
+    "--format": st.sampled_from(["csv", "json"]),
+}
+# command -> (flags always given, flags drawn or left out)
+_COMMANDS = {
+    "sweep": (
+        {"--t-grid": _GRID},
+        {**_MODEL, "--criteria": st.sampled_from(["security", "nc,ng", "security,nc,ng", "vibes"])},
+    ),
+    "point": ({"--t": _NUMBER}, _MODEL),
+    "witness": ({"--ps": _NUMBER}, {"--pc": _NUMBER, "--format": _MODEL["--format"]}),
+    "tmin": ({}, _MODEL),
+    "mc-validate": (
+        {},
+        {
+            **_MODEL,
+            "--t": _NUMBER,
+            "--samples": _SAMPLES,
+            "--seed": st.integers(min_value=-3, max_value=2**64).map(str),
+        },
+    ),
+    "ng-curve": (
+        {},
+        {
+            "--points": st.one_of(
+                st.integers(min_value=-5, max_value=64).map(str), st.sampled_from(["nan", "1e300"])
+            ),
+            "--format": _MODEL["--format"],
+        },
+    ),
+}
+_MODEL_NAMES = st.sampled_from(["thermal-bath", "noise-before", "spdc"])
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    required, optional = _COMMANDS[command]
+    if command not in ("witness", "ng-curve"):
+        required = {**required, "--model": _MODEL_NAMES}
+    if command == "sweep":
+        optional = {k: v for k, v in optional.items() if k != "--mu"}
+    flags = draw(st.fixed_dictionaries(required, optional=optional))
+    # --flag=value, so that values such as -inf are not read as options
+    return [command] + [f"{flag}={value}" for flag, value in flags.items()]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_argv())
+def test_fuzzed_argv_ends_in_an_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3)
+    assert len(err.getvalue().splitlines()) <= 1
+    assert "Traceback" not in err.getvalue()

@@ -55,13 +55,13 @@ class TestThermalBathAgreement:
 
     def test_key_geometry(self):
         out = mc.simulate(self.PARAMS, CONFIG, mc.KEY)
-        check(tb.p_exp(self.PARAMS), out["p_exp"])
-        check(tb.qber(self.PARAMS), out["qber"])
+        check(tb.key_rate(self.PARAMS).p_exp, out["p_exp"])
+        check(tb.key_rate(self.PARAMS).qber, out["qber"])
 
     def test_weak_noise_error_rate(self):
         pr = tb.ThermalBathParams(p=1.0, T=0.5, mu=0.01, e=0.0, d=0.0)
         out = mc.simulate(pr, mc.McConfig(samples=1_000_000, seed=31415), mc.KEY)
-        check(tb.qber(pr), out["qber"])
+        check(tb.key_rate(pr).qber, out["qber"])
 
     def test_autocorr_geometry(self):
         out = mc.simulate(self.PARAMS, CONFIG, mc.AUTOCORR)
@@ -84,8 +84,8 @@ class TestNoiseBeforeAgreement:
     def test_key_geometry(self, kind):
         pr = nb.NoiseBeforeParams(p=0.7, T=0.45, mu=0.25, e=0.04, d=1e-3, noise_kind=kind)
         out = mc.simulate(pr, CONFIG, mc.KEY)
-        check(nb.p_exp(pr), out["p_exp"])
-        check(nb.qber(pr), out["qber"])
+        check(nb.key_rate(pr).p_exp, out["p_exp"])
+        check(nb.key_rate(pr).qber, out["qber"])
 
     def test_event_classes_individually(self):
         pr = nb.NoiseBeforeParams(p=0.5, T=0.4, mu=0.2, e=0.0, d=1e-3)
@@ -203,3 +203,83 @@ def test_unknown_target_rejected():
     pr = tb.ThermalBathParams(p=0.5, T=0.5, mu=0.0)
     with pytest.raises(ParameterDomainError):
         mc.simulate(pr, mc.McConfig(samples=100, seed=1), "sideways")
+
+
+class TestFrozenStream:
+    """Every model variant and geometry reproduces its recorded seeded stream bit for bit.
+
+    The table was written by ``simulate`` at 20,000 samples and seed 2024; a
+    change to the draw order or to the counting shows up here as a changed value.
+    """
+
+    VARIANTS = {
+        "thermal-bath": tb.ThermalBathParams(p=0.7, T=0.35, mu=0.15, e=0.05, d=1e-2),
+        "noise-before/thermal": nb.NoiseBeforeParams(p=0.7, T=0.45, mu=0.25, e=0.05, d=1e-2),
+        "noise-before/poisson": nb.NoiseBeforeParams(
+            p=0.7, T=0.45, mu=0.25, e=0.05, d=1e-2, noise_kind=ps.POISSON
+        ),
+        "spdc": spdc.SpdcParams(nu=0.3, T=0.35, mu=0.15, e=0.05, d=1e-2),
+    }
+    # (variant, target) -> statistic -> (value, std_err, samples), in output order
+    FROZEN = {
+        ('thermal-bath', 'key'): {
+            'p_exp': (0.35285, 0.0033789560333037775, 20000),
+            'qber': (0.2094374380048179, 0.0048437890554987794, 7057),
+        },
+        ('thermal-bath', 'autocorr'): {
+            'p_single': (0.3398, 0.0033491488470953333, 20000),
+            'p_coincidence': (0.0298, 0.0012023302374971694, 20000),
+            'p_none': (0.6304, 0.0034131791631849626, 20000),
+            'omega1': (0.3135, 0.0032803791701570112, 20000),
+            'omega2plus': (0.0561, 0.0016271568762722295, 20000),
+        },
+        ('noise-before/thermal', 'key'): {
+            'p_exp': (0.3758, 0.0034247215945241447, 20000),
+            'qber': (0.12746141564662053, 0.00384669987684508, 7516),
+            'p_exp_signal': (0.28515, 0.003192487098642687, 20000),
+            'p_exp_noise': (0.0645, 0.0017369477539638319, 20000),
+            'p_exp_noise_signal': (0.01325, 0.0008085306889661022, 20000),
+            'p_exp_dark': (0.0129, 0.0007979219886680652, 20000),
+        },
+        ('noise-before/thermal', 'autocorr'): {
+            'p_single': (0.36385, 0.0034019345782951207, 20000),
+            'p_coincidence': (0.0179, 0.0009375390658527249, 20000),
+            'p_none': (0.61825, 0.0034352360726739, 20000),
+            'omega1': (0.3458, 0.0033632005589913903, 20000),
+            'omega2plus': (0.03595, 0.0013163889527795347, 20000),
+        },
+        ('noise-before/poisson', 'key'): {
+            'p_exp': (0.3801, 0.0034323751980225004, 20000),
+            'qber': (0.12970270981320706, 0.003853402793126074, 7602),
+            'p_exp_signal': (0.2844, 0.003189957993453832, 20000),
+            'p_exp_noise': (0.0685, 0.0017861655858290408, 20000),
+            'p_exp_noise_signal': (0.0149, 0.0008566793449126691, 20000),
+            'p_exp_dark': (0.0123, 0.0007793814855383723, 20000),
+        },
+        ('noise-before/poisson', 'autocorr'): {
+            'p_single': (0.3673, 0.0034087439768923688, 20000),
+            'p_coincidence': (0.0173, 0.0009219736981064047, 20000),
+            'p_none': (0.6154, 0.0034400787781677326, 20000),
+            'omega1': (0.3506, 0.0033740157083214655, 20000),
+            'omega2plus': (0.034, 0.0012814835153056009, 20000),
+        },
+        ('spdc', 'key'): {
+            'p_exp': (0.45935, 0.0035238301427566003, 20000),
+            'qber': (0.14139545009252205, 0.0036351928202938153, 9187),
+            'p_multi': (0.1394, 0.0024491594476472945, 20000),
+            'y': (0.6965277021878742, 0.005544906960065512, 20000),
+        },
+        ('spdc', 'autocorr'): {
+            'p_single': (0.4382, 0.0035084238626482975, 20000),
+            'p_coincidence': (0.0496, 0.0015352498168050698, 20000),
+            'p_none': (0.5122, 0.0035344812915051624, 20000),
+            'omega1': (0.39505, 0.003456772320387908, 20000),
+            'omega2plus': (0.09275, 0.0020511879180123895, 20000),
+        },
+    }
+
+    @pytest.mark.parametrize("variant, target", list(FROZEN))
+    def test_estimates_unchanged(self, variant, target):
+        out = mc.simulate(self.VARIANTS[variant], mc.McConfig(samples=20_000, seed=2024), target)
+        got = [(name, (est.value, est.std_err, est.samples)) for name, est in out.items()]
+        assert got == list(self.FROZEN[variant, target].items())

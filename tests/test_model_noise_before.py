@@ -38,28 +38,40 @@ class TestEventProbs:
 
 class TestQber:
     def test_depolarization_only(self):
-        assert nb.qber(params(p=0.6, T=0.3, mu=0.0, e=0.1)) == pytest.approx(0.05, rel=1e-12)
+        q = nb.key_rate(params(p=0.6, T=0.3, mu=0.0, e=0.1)).qber
+        assert q == pytest.approx(0.05, rel=1e-12)
 
     def test_noise_only_clicks_are_random(self):
-        assert nb.qber(params(p=0.0, T=0.3, mu=0.4)) == pytest.approx(0.5, abs=1e-15)
+        assert nb.key_rate(params(p=0.0, T=0.3, mu=0.4)).qber == pytest.approx(0.5, abs=1e-15)
 
     def test_undefined_without_events(self):
         with pytest.raises(UndefinedRateError):
-            nb.qber(params(p=0.0, T=0.5, mu=0.0))
+            nb.key_rate(params(p=0.0, T=0.5, mu=0.0)).qber
 
     def test_small_transmittance_asymptote(self):
         T = 1e-3
         for p in (0.3, 1.0):
             for mu, e in [(0.05, 0.0), (0.2, 0.06)]:
-                q = nb.qber(params(p=p, T=T, mu=mu, e=e))
+                q = nb.key_rate(params(p=p, T=T, mu=mu, e=e)).qber
                 approx = (e * p + mu) / (2.0 * (p + mu))
                 assert q == pytest.approx(approx, rel=0.05)
 
     def test_thermal_poisson_agree_at_low_transmittance(self):
         for mu in (0.05, 0.3, 1.0):
-            qt = nb.qber(params(p=1.0, T=0.01, mu=mu))
-            qp = nb.qber(params(p=1.0, T=0.01, mu=mu, kind=ps.POISSON))
+            qt = nb.key_rate(params(p=1.0, T=0.01, mu=mu)).qber
+            qp = nb.key_rate(params(p=1.0, T=0.01, mu=mu, kind=ps.POISSON)).qber
             assert abs(qt - qp) / qt < 0.01
+
+
+    @pytest.mark.parametrize("kind", [ps.THERMAL, ps.POISSON])
+    def test_key_statistics_evaluates_event_probs_once(self, kind, monkeypatch):
+        pr = params(p=0.7, T=0.45, mu=0.25, e=0.04, d=1e-3, kind=kind)
+        calls, real = [], nb.event_probs
+        monkeypatch.setattr(nb, "event_probs", lambda x: calls.append(x) or real(x))
+        stats = nb.key_statistics(pr)
+        assert len(calls) == 1
+        rate = nb.key_rate(pr)
+        assert (stats["p_exp"], stats["qber"]) == (rate.p_exp, rate.qber)
 
 
 class TestClickStats:

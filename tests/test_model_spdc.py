@@ -144,8 +144,8 @@ class TestModelContinuity:
         ref = tb.ThermalBathParams(p=1.0, T=T, mu=mu, e=e, d=d)
 
         st = spdc.key_stats(spdc_params)
-        assert st.p_exp / herald == pytest.approx(tb.p_exp(ref), rel=1e-3)
-        assert st.qber == pytest.approx(tb.qber(ref), rel=1e-3)
+        assert st.p_exp / herald == pytest.approx(tb.key_rate(ref).p_exp, rel=1e-3)
+        assert st.qber == pytest.approx(tb.key_rate(ref).qber, rel=1e-3)
         assert st.single_photon_fraction == pytest.approx(1.0, abs=1e-3)
 
         cs = spdc.click_stats(spdc_params)

@@ -17,7 +17,7 @@ class TestEventProbabilities:
         pr = params(p=1.0, T=1.0, mu=0.0)
         assert ref.p_plus(pr, 0, 0) == 1.0
         assert ref.p_minus(pr, 0, 0) == 0.0
-        assert tb.p_exp(pr) == 1.0
+        assert tb.key_rate(pr).p_exp == 1.0
 
     def test_plus_composes_with_arrival_kernel(self):
         pr = params(p=0.5, T=0.5, mu=0.1)
@@ -32,44 +32,47 @@ class TestEventProbabilities:
 
     def test_dark_counts_only(self):
         pr = params(p=0.0, T=0.5, mu=0.0, d=1e-3)
-        assert tb.p_exp(pr) == pytest.approx(2e-3, rel=1e-12)
+        assert tb.key_rate(pr).p_exp == pytest.approx(2e-3, rel=1e-12)
 
     def test_half_transmission(self):
-        assert tb.p_exp(params(p=1.0, T=0.5, mu=0.0)) == pytest.approx(0.5, rel=1e-14)
+        assert tb.key_rate(params(p=1.0, T=0.5, mu=0.0)).p_exp == pytest.approx(0.5, rel=1e-14)
 
     def test_closed_form_matches_series_assembly(self):
         for p, T, mu, d in [(1.0, 0.3, 0.2, 0.0), (0.4, 0.7, 0.05, 1e-3), (0.9, 0.05, 0.5, 1e-4)]:
             pr = params(p=p, T=T, mu=mu, d=d)
-            assert tb.p_exp(pr) == pytest.approx(ref.p_exp_series(pr), rel=1e-11)
+            assert tb.key_rate(pr).p_exp == pytest.approx(ref.p_exp_series(pr), rel=1e-11)
 
 
 class TestQber:
     def test_depolarization_only(self):
-        assert tb.qber(params(p=0.8, T=0.6, mu=0.0, e=0.08)) == pytest.approx(0.04, rel=1e-12)
+        q = tb.key_rate(params(p=0.8, T=0.6, mu=0.0, e=0.08)).qber
+        assert q == pytest.approx(0.04, rel=1e-12)
 
     def test_pure_dark_counts_are_random(self):
-        assert tb.qber(params(p=0.0, T=0.5, mu=0.0, d=1e-4)) == pytest.approx(0.5, abs=1e-15)
+        q = tb.key_rate(params(p=0.0, T=0.5, mu=0.0, d=1e-4)).qber
+        assert q == pytest.approx(0.5, abs=1e-15)
 
     def test_undefined_without_events(self):
         with pytest.raises(UndefinedRateError):
-            tb.qber(params(p=0.0, T=0.5, mu=0.0, d=0.0))
+            tb.key_rate(params(p=0.0, T=0.5, mu=0.0, d=0.0)).qber
 
     @pytest.mark.parametrize("T", [1e-3, 1e-2])
     def test_small_transmittance_asymptote(self, T):
         for mu in (1e-5, 1e-4, 1e-3):
             pr = params(p=1.0, T=T, mu=mu)
-            assert tb.qber(pr) == pytest.approx(ref.qber_small_t_approx_thermal_bath(pr), rel=0.05)
+            q = tb.key_rate(pr).qber
+            assert q == pytest.approx(ref.qber_small_t_approx_thermal_bath(pr), rel=0.05)
 
     def test_bounded_and_monotone_in_noise(self):
         for p in (0.2, 1.0):
             for T in (0.05, 0.4, 0.9):
                 q_prev = -1.0
                 for mu in np.geomspace(1e-6, 2.0, 12):
-                    q = tb.qber(params(p=p, T=T, mu=float(mu), e=0.05, d=1e-4))
+                    q = tb.key_rate(params(p=p, T=T, mu=float(mu), e=0.05, d=1e-4)).qber
                     assert 0.0 <= q <= 0.5
                 q_prev = -1.0
                 for mu in np.geomspace(1e-6, 2.0, 12):
-                    q = tb.qber(params(p=p, T=T, mu=float(mu), e=0.0, d=0.0))
+                    q = tb.key_rate(params(p=p, T=T, mu=float(mu), e=0.0, d=0.0)).qber
                     assert q >= q_prev - 1e-15
                     q_prev = q
 
@@ -80,7 +83,7 @@ class TestQber:
             lost = 1 - mpf(p) * mpf(T)
             m = mpf(mu) * (1 - mpf(T))
             want = lost * m / (1 + m) / (mpf(p) * mpf(T) + 2 * lost * m / (1 + m))
-        assert abs(tb.qber(params(p=p, T=T, mu=mu)) - want) <= 1e-13 * want
+        assert abs(tb.key_rate(params(p=p, T=T, mu=mu)).qber - want) <= 1e-13 * want
 
 
 class TestClickStats:

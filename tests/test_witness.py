@@ -57,23 +57,23 @@ class TestNcBoundary:
 
 class TestGaussianFamily:
     def test_collapses_to_origin(self):
-        pt = witness.gaussian_boundary_point(1.0 - 1e-9)
+        pt = ref.gaussian_boundary_point(1.0 - 1e-9)
         assert pt.p_single == pytest.approx(0.0, abs=1e-8)
         assert pt.p_coincidence == pytest.approx(0.0, abs=1e-12)
         assert pt.n_of_v == pytest.approx(0.0, abs=1e-8)
 
     def test_displacement_formula(self):
         v = 0.5
-        pt = witness.gaussian_boundary_point(v)
+        pt = ref.gaussian_boundary_point(v)
         expected = (1 - v * v) * (v + 3) / (v * (3 * v + 1))
         assert pt.n_of_v == pytest.approx(expected, rel=1e-12)
         assert pt.n_of_v >= 0.0
 
     def test_rejects_endpoints(self):
         with pytest.raises(ParameterDomainError):
-            witness.gaussian_boundary_point(0.0)
+            ref.gaussian_boundary_point(0.0)
         with pytest.raises(ParameterDomainError):
-            witness.gaussian_boundary_point(1.0)
+            ref.gaussian_boundary_point(1.0)
 
 
 class TestNgCurve:
@@ -83,8 +83,8 @@ class TestNgCurve:
 
     def test_sorted_and_monotone(self):
         curve = witness.ng_boundary_curve()
-        p_s = [pt.p_single for pt in curve]
-        p_c = [pt.p_coincidence for pt in curve]
+        p_s = curve.p_single.tolist()
+        p_c = curve.p_coincidence.tolist()
         assert all(b > a for a, b in zip(p_s, p_s[1:]))
         assert all(b >= a for a, b in zip(p_c, p_c[1:]))
 
@@ -103,8 +103,13 @@ class TestNgCurve:
     def test_deterministic(self):
         assert witness.ng_boundary(1e-3) == witness.ng_boundary(1e-3)
         c1 = witness.ng_boundary_curve(128)
+        witness.ng_boundary_curve.cache_clear()
         c2 = witness.ng_boundary_curve(128)
-        assert c1 == c2
+        assert all(np.array_equal(a, b) for a, b in zip(c1, c2))
+
+    def test_cached_table_is_read_only(self):
+        with pytest.raises(ValueError):
+            witness.ng_boundary_curve().p_single[0] = 0.0
 
     def test_stricter_than_classical_boundary(self):
         for p_s in np.geomspace(1e-4, 0.5, 100):
@@ -202,7 +207,8 @@ class TestDetectorDarkCounts:
 
 
 # the end of the kept branch: ng_boundary answers for P_S up to the last table point
-_LAST = witness.ng_boundary_curve()[-1]
+_CURVE = witness.ng_boundary_curve()
+_LAST_EPS, _LAST_PS = float(_CURVE.eps[-1]), float(_CURVE.p_single[-1])
 
 
 def _ng_boundary_reference(p_s: float):
@@ -217,7 +223,7 @@ def _ng_boundary_reference(p_s: float):
         return 2 * (r1 - r2), 1 - 2 * r1 + r2
 
     with mp.workdps(60):
-        target, lo, hi = mpf(p_s), mpf(0), 1 - mpf(_LAST.v)
+        target, lo, hi = mpf(p_s), mpf(0), mpf(_LAST_EPS)
         for _ in range(80):  # P_S rises with eps on the kept branch
             mid = (lo + hi) / 2
             lo, hi = (mid, hi) if family(mid)[0] < target else (lo, mid)
@@ -227,14 +233,14 @@ def _ng_boundary_reference(p_s: float):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.floats(min_value=-3.0, max_value=math.log10(_LAST.p_single)).map(
-        lambda k: min(10.0**k, _LAST.p_single)
+    st.floats(min_value=-3.0, max_value=math.log10(_LAST_PS)).map(
+        lambda k: min(10.0**k, _LAST_PS)
     )
 )
 @example(1e-3)
 @example(1e-2)
 @example(0.1)
-@example(_LAST.p_single)
+@example(_LAST_PS)
 def test_ng_boundary_against_mpmath(p_s):
     # below P_S = 1e-3 the family's own P_C cancellation dominates the error
     want = _ng_boundary_reference(p_s)
@@ -247,11 +253,11 @@ def test_boundaries_agree_with_direct_equation_solve():
     from scipy.optimize import brentq
 
     def family_ps(eps):
-        return witness.gaussian_boundary_point(1.0 - eps).p_single
+        return ref.gaussian_boundary_point(1.0 - eps).p_single
 
     for target in (1e-3, 3e-3, 1e-2, 0.1):
         eps = brentq(lambda t: family_ps(t) - target, 1e-9, 0.6, xtol=1e-15)
-        pc = witness.gaussian_boundary_point(1.0 - eps).p_coincidence
+        pc = ref.gaussian_boundary_point(1.0 - eps).p_coincidence
         assert witness.ng_boundary(target) == pytest.approx(pc, rel=1e-6)
 
 
