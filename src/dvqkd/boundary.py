@@ -4,9 +4,12 @@ their closed-form small-T / small-nu approximations.
 The numeric solver treats each criterion (positive secret fraction,
 nonclassicality, non-Gaussianity) as a predicate on the noise mean mu and
 locates the largest mu at which it still holds.  The search assumes every
-predicate is monotone in mu (noise only hurts): it brackets the edge by
-doubling and bisects it once, on all transmittances of a sweep at once, so
-``mu_max_numeric`` is the same search on one transmittance.
+predicate is monotone in mu (noise only hurts): it brackets the edge on the
+doubling ladder MU_SEED * 2^j (capped at the ceiling) and bisects it once, on
+all transmittances of a sweep at once, so ``mu_max_numeric`` is the same
+search on one transmittance.  Each predicate call tests several rungs of
+every point still climbing; a point's bracket ends at its first failing
+rung, where a doubling one rung per call would stop too.
 ``tests/test_boundary.py`` checks that monotonicity on seeded configurations
 of every model and criterion.
 """
@@ -35,9 +38,16 @@ NONGAUSSIAN = "nongaussian"
 CRITERIA = (SECURITY, NONCLASSICAL, NONGAUSSIAN)
 
 MU_CEILING = 1e3  # thermal means beyond this are unphysical for the setting
-MU_SEED = 1e-12  # bracket-doubling start
+MU_SEED = 1e-12  # first rung of the doubling ladder
 T_FLOOR = 1e-9  # smallest transmittance t_min_numeric probes
 SECURITY_MARGIN = 1e-12  # "secure" means delta_i strictly above this
+
+# the doubling ladder MU_SEED * 2^j up to its first rung at the ceiling; a power-of-two
+# multiple is exact, so each rung is bit-equal to repeated doubling
+_LADDER = np.minimum(
+    np.ldexp(MU_SEED, np.arange(math.ceil(math.log2(MU_CEILING / MU_SEED)) + 1)), MU_CEILING
+)
+_CALL_WIDTH = 1024  # predicate elements per ladder call, unless more points are climbing
 
 
 @dataclass(frozen=True)
@@ -82,9 +92,11 @@ def criterion_predicate(params: ModelParams, criterion: str) -> Callable:
 def mu_max_numeric(params: ModelParams, criterion: str) -> Optional[float]:
     """Largest noise mean at which the criterion holds; None when infeasible at mu = 0.
 
-    Brackets by doubling from a seed of 1e-12 up to the ceiling, then bisects
-    to a relative width of 1e-6 (``roots.REL_TOL``).  Returns ``MU_CEILING``
-    when the criterion still holds there.
+    Brackets the edge between the first failing rung of the doubling ladder
+    from 1e-12 up to the ceiling and the rung below it (0 below the first),
+    testing the whole ladder in one predicate call, then bisects to a
+    relative width of 1e-6 (``roots.REL_TOL``).  Returns ``MU_CEILING`` when
+    the criterion still holds there.
     """
     mu_max, feasible = _search_mu_max(criterion_predicate(params, criterion), np.array([params.T]))
     return float(mu_max[0]) if feasible[0] else None
@@ -93,17 +105,27 @@ def mu_max_numeric(params: ModelParams, criterion: str) -> Optional[float]:
 def _search_mu_max(pred: Callable, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(mu_max, feasible) per transmittance: where pred(0, T) holds, the largest mu
     with pred(mu, T); elsewhere 0.  An element leaves the search once its own
-    bracket is done, so it ends as a search of its own would."""
+    bracket is done, so it ends as a search of its own would.
+
+    The points still climbing all stand on one rung; each call tests the next
+    ``_CALL_WIDTH // live`` rungs of each (at least one), as one flat array.
+    """
     feasible = pred(np.zeros(ts.size), ts)
-    holds, fails = np.zeros(ts.size), np.full(ts.size, MU_SEED)
+    holds, fails = np.zeros(ts.size), np.zeros(ts.size)
     ceiling = np.zeros(ts.size, dtype=bool)
-    which = np.flatnonzero(feasible)  # still doubling
+    which, rung = np.flatnonzero(feasible), 0  # still climbing, next rung to test
     while which.size:
-        up = which[pred(fails[which], ts[which])]
-        ceiling[up] = fails[up] == MU_CEILING
-        up = up[~ceiling[up]]
-        holds[up], fails[up] = fails[up], np.minimum(2.0 * fails[up], MU_CEILING)
-        which = up
+        rungs = _LADDER[rung : rung + max(1, _CALL_WIDTH // which.size)]
+        ok = pred(np.tile(rungs, which.size), np.repeat(ts[which], rungs.size))
+        ok = ok.reshape(which.size, rungs.size)
+        stop = ~ok.all(axis=1)
+        k = rung + np.argmin(ok[stop], axis=1)  # first failing rung
+        holds[which[stop]] = np.where(k > 0, _LADDER[k - 1], 0.0)
+        fails[which[stop]] = _LADDER[k]
+        which, rung = which[~stop], rung + rungs.size
+        if rung == _LADDER.size:
+            ceiling[which] = True
+            break
     rest = np.flatnonzero(feasible & ~ceiling)
     holds, fails = bisect_predicate(lambda mu: pred(mu, ts[rest]), holds[rest], fails[rest])
     mu_max = np.where(ceiling, MU_CEILING, 0.0)

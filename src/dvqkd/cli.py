@@ -133,8 +133,11 @@ def _emit(rows: list[dict], header: list[str], args: argparse.Namespace) -> None
         meta = {k: v for k, v in sorted(vars(args).items()) if k not in ("out", "format")}
         text = json.dumps({"meta": meta, "rows": rows}, indent=2, default=_cell) + "\n"
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _CliError(f"cannot write --out: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,6 +56,12 @@ def herald_prob(nu: float) -> float:
     return -math.expm1(-nu)
 
 
+@lru_cache(maxsize=64)
+def _multi_pair_prob(nu: float) -> float:
+    """Probability of two or more pairs; one value per nu, however many (T, mu) a sweep probes."""
+    return float(ps.prob_at_least(ps.PhotonDistribution.poisson(nu), 2))
+
+
 def key_stats(params: SpdcParams) -> SpdcKeyStats:
     """Accepted-event probability, multiphoton weight, y and QBER."""
     nu, T = params.nu, params.T
@@ -62,7 +69,7 @@ def key_stats(params: SpdcParams) -> SpdcKeyStats:
     blocked = np.expm1(-nu * T) - math.expm1(-nu)  # heralded, every signal photon lost
     pexp, errors = channel.key_events(tau, blocked, params.mu * (1.0 - T), params.e, params.d)
     q = channel.error_rate(pexp, errors)
-    p_multi = float(ps.prob_at_least(ps.PhotonDistribution.poisson(nu), 2))
+    p_multi = _multi_pair_prob(float(nu))
     y = np.maximum(0.0, (pexp - p_multi) / pexp)
     return SpdcKeyStats(p_exp=pexp, p_multi=p_multi, single_photon_fraction=y, qber=q)
 

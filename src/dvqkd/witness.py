@@ -75,8 +75,11 @@ def n_of_v(eps):
 def _libm(fn):
     # libm element by element: numpy's vector kernels round the last bit differently on
     # some CPUs, and P_C's cancellation at small eps would show that bit in the table
-    elementwise = np.frompyfunc(fn, 1, 1)
-    return lambda x: np.asarray(elementwise(x), dtype=float)
+    def elementwise(x):
+        x = np.asarray(x)
+        return np.fromiter(map(fn, x.ravel().tolist()), float, count=x.size).reshape(x.shape)
+
+    return elementwise
 
 
 _log1p, _expm1 = _libm(math.log1p), _libm(math.expm1)

@@ -15,10 +15,12 @@ from typing import Callable
 import numpy as np
 
 from dvqkd import channel
+from dvqkd.boundary import MU_CEILING, MU_SEED
 from dvqkd.errors import ParameterDomainError
 from dvqkd.montecarlo import McEstimate, _bernoulli_estimate
 from dvqkd.noise_before import EventProbs, NoiseBeforeParams
 from dvqkd.photon_stats import THERMAL, PhotonDistribution
+from dvqkd.roots import bisect_predicate
 from dvqkd.spdc import SpdcParams
 from dvqkd.thermal_bath import ThermalBathParams
 from dvqkd.witness import ClickStats, _family, combine, n_of_v
@@ -369,3 +371,22 @@ def gaussian_boundary_point(v: float) -> NGBoundaryPoint:
     eps = 1.0 - v
     ps, pc, _ = _family(eps)
     return NGBoundaryPoint(v=v, n_of_v=n_of_v(eps), p_single=ps, p_coincidence=pc)
+
+
+def search_mu_max_doubling(pred: Callable, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mu_max search doubling one rung per predicate call: (mu_max, feasible)."""
+    feasible = pred(np.zeros(ts.size), ts)
+    holds, fails = np.zeros(ts.size), np.full(ts.size, MU_SEED)
+    ceiling = np.zeros(ts.size, dtype=bool)
+    which = np.flatnonzero(feasible)  # still doubling
+    while which.size:
+        up = which[pred(fails[which], ts[which])]
+        ceiling[up] = fails[up] == MU_CEILING
+        up = up[~ceiling[up]]
+        holds[up], fails[up] = fails[up], np.minimum(2.0 * fails[up], MU_CEILING)
+        which = up
+    rest = np.flatnonzero(feasible & ~ceiling)
+    holds, fails = bisect_predicate(lambda mu: pred(mu, ts[rest]), holds[rest], fails[rest])
+    mu_max = np.where(ceiling, MU_CEILING, 0.0)
+    mu_max[rest] = 0.5 * (holds + fails)
+    return mu_max, feasible

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import _reference as ref
 from dvqkd import boundary, channel, noise_before, spdc, thermal_bath, witness
 from dvqkd.errors import ParameterDomainError
 
@@ -251,6 +252,63 @@ class TestBatchedSweep:
                 assert omega[0][i] == got[2][0] and omega[1][i] == got[2][1]
                 assert flags[0][i] == witness.is_nonclassical(got[1])
                 assert flags[1][i] == witness.is_nongaussian(got[1])
+
+
+class TestLadderSearch:
+    """The search tests several rungs of the doubling ladder per predicate call; every
+    point must be the search doubling one rung per call, bit for bit."""
+
+    VARIANTS = TestMonotoneInMu.VARIANTS
+    POINTS = 60
+
+    def test_ladder_is_the_repeated_doubling(self):
+        rungs = [boundary.MU_SEED]
+        while rungs[-1] < boundary.MU_CEILING:
+            rungs.append(min(2.0 * rungs[-1], boundary.MU_CEILING))
+        assert boundary._LADDER.tolist() == rungs
+
+    @pytest.mark.parametrize("criterion", boundary.CRITERIA)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_points_match_the_one_rung_doubling_bit_for_bit(self, variant, criterion):
+        rng = np.random.default_rng(
+            [11, self.VARIANTS.index(variant), boundary.CRITERIA.index(criterion)]
+        )
+        # one draw as the batched-sweep test draws, one over the monotonicity test's wider range
+        for draw in (TestBatchedSweep._draw, TestMonotoneInMu._draw):
+            pred = boundary.criterion_predicate(draw(rng, variant), criterion)
+            ts = np.geomspace(10.0 ** rng.uniform(-9.0, -2.0), 1.0, self.POINTS)
+            mu_max, feasible = boundary._search_mu_max(pred, ts)
+            want_mu_max, want_feasible = ref.search_mu_max_doubling(pred, ts)
+            assert mu_max.tobytes() == want_mu_max.tobytes()
+            assert feasible.tobytes() == want_feasible.tobytes()
+
+    def test_no_call_exceeds_the_call_width_or_the_points_climbing(self):
+        ts = np.geomspace(1e-9, 1.0, 5000)
+        calls = []  # (elements, points in the call)
+
+        def pred(mu, T):
+            calls.append((mu.size, np.unique(T).size))
+            return mu < 2e3 * T  # edges on every rung; the ceiling for T > 0.5
+
+        mu_max, feasible = boundary._search_mu_max(pred, ts)
+        assert all(size <= max(points, boundary._CALL_WIDTH) for size, points in calls)
+        assert calls[1] == (5000, 5000)  # more points than the width: one rung each
+        assert any(size > points for size, points in calls)
+        want_mu_max, _ = ref.search_mu_max_doubling(pred, ts)
+        assert mu_max.tobytes() == want_mu_max.tobytes() and feasible.all()
+        assert np.sum(mu_max == boundary.MU_CEILING) == np.sum(ts > 0.5)
+
+    def test_sixty_points_take_few_predicate_calls(self):
+        # one rung per call takes 61: mu = 0, 40 doublings to 0.37, 20 bisection steps
+        calls = []
+
+        def pred(mu, T):
+            calls.append(mu.size)
+            return mu < 0.37
+
+        mu_max, _ = boundary._search_mu_max(pred, np.geomspace(1e-3, 1.0, 60))
+        assert mu_max == pytest.approx(np.full(60, 0.37), rel=1e-6)
+        assert len(calls) <= 30
 
 
 class TestTMinNumeric:

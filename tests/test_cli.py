@@ -295,6 +295,8 @@ def test_readme_example_matches_reference(name, argv, out_file, tmp_path, monkey
         ["mc-validate", "--model", "thermal-bath", "--samples", "1e20"],
         ["sweep", "--model", "thermal-bath", "--t-grid", "1e-3:1:1000000000:log"],
         ["ng-curve", "--points", "1000000000"],
+        ["witness", "--ps", "1e-3", "--out", "/no/such/dir/x.csv"],
+        ["witness", "--ps", "1e-3", "--out", "."],
     ],
 )
 def test_extreme_inputs_end_in_an_exit_code(capsys, argv):
@@ -314,6 +316,14 @@ def test_extreme_inputs_end_in_an_exit_code(capsys, argv):
 def test_nan_witness_inputs_are_config_errors(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("out", ["missing/x.csv", "."])
+def test_unwritable_out_is_a_config_error(capsys, tmp_path, out):
+    code, stdout, err = run(capsys, "witness", "--ps", "1e-3", "--out", str(tmp_path / out))
+    assert (code, stdout) == (2, "")
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
 

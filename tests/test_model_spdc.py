@@ -83,6 +83,18 @@ class TestKeyStats:
         with pytest.raises(UndefinedRateError):
             spdc.key_stats(params(nu=0.1, T=0.0, mu=0.0, d=0.0))
 
+    def test_key_stats_evaluates_multi_pair_weight_once_per_pair_mean(self, monkeypatch):
+        spdc._multi_pair_prob.cache_clear()
+        calls, real = [], spdc.ps.prob_at_least
+        monkeypatch.setattr(spdc.ps, "prob_at_least", lambda *a: calls.append(a) or real(*a))
+        for T, mu in [(0.5, 0.1), (1e-3, 0.0), (0.9, 2.0)]:
+            st = spdc.key_stats(params(nu=0.0123, T=T, mu=mu))
+            assert st.p_multi == real(spdc.ps.PhotonDistribution.poisson(0.0123), 2)
+        assert len(calls) == 1
+        spdc.key_stats(params(nu=0.0456))
+        assert len(calls) == 2
+        spdc._multi_pair_prob.cache_clear()
+
 
 class TestClickStats:
     def test_single_pair_limit_is_attenuated_photon(self):
