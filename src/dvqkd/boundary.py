@@ -9,7 +9,10 @@ doubling ladder MU_SEED * 2^j (capped at the ceiling) and bisects it once, on
 all transmittances of a sweep at once, so ``mu_max_numeric`` is the same
 search on one transmittance.  Each predicate call tests several rungs of
 every point still climbing; a point's bracket ends at its first failing
-rung, where a doubling one rung per call would stop too.
+rung, where a doubling one rung per call would stop too.  The bisection,
+and ``t_min_numeric``'s on one point, likewise test several levels of every
+live bracket per call (``roots.bisect_predicate``), and each bracket ends
+where a bisection of one level per call would end it.
 ``tests/test_boundary.py`` checks that monotonicity on seeded configurations
 of every model and criterion.
 """
@@ -24,7 +27,7 @@ import numpy as np
 
 from . import channel, noise_before, spdc, thermal_bath
 from .errors import ParameterDomainError
-from .roots import bisect_predicate
+from .roots import _CALL_WIDTH, bisect_predicate
 from .security import qber_threshold, y_threshold
 from .witness import ClickStats, is_nonclassical, is_nongaussian
 
@@ -47,7 +50,6 @@ SECURITY_MARGIN = 1e-12  # "secure" means delta_i strictly above this
 _LADDER = np.minimum(
     np.ldexp(MU_SEED, np.arange(math.ceil(math.log2(MU_CEILING / MU_SEED)) + 1)), MU_CEILING
 )
-_CALL_WIDTH = 1024  # predicate elements per ladder call, unless more points are climbing
 
 
 @dataclass(frozen=True)
@@ -127,7 +129,7 @@ def _search_mu_max(pred: Callable, ts: np.ndarray) -> tuple[np.ndarray, np.ndarr
             ceiling[which] = True
             break
     rest = np.flatnonzero(feasible & ~ceiling)
-    holds, fails = bisect_predicate(lambda mu: pred(mu, ts[rest]), holds[rest], fails[rest])
+    holds, fails = bisect_predicate(lambda mu, i: pred(mu, ts[rest[i]]), holds[rest], fails[rest])
     mu_max = np.where(ceiling, MU_CEILING, 0.0)
     mu_max[rest] = 0.5 * (holds + fails)
     return mu_max, feasible
@@ -150,15 +152,17 @@ def t_min_numeric(params: ModelParams) -> Optional[float]:
     """Smallest transmittance with a positive secret fraction at mu = 0.
 
     Returns 0.0 when security survives down to ``T_FLOOR`` (no positive
-    threshold) and None when it fails even at T = 1.
+    threshold) and None when it fails even at T = 1; both ends are tested in
+    one predicate call.
     """
 
     pred = criterion_predicate(params, SECURITY)
-    if not pred(0.0, 1.0):
+    at_one, at_floor = pred(0.0, np.array([1.0, T_FLOOR]))
+    if not at_one:
         return None
-    if pred(0.0, T_FLOOR):
+    if at_floor:
         return 0.0
-    holds, _ = bisect_predicate(lambda t: pred(0.0, t), 1.0, T_FLOOR)
+    holds, _ = bisect_predicate(lambda t, i: pred(0.0, t), 1.0, T_FLOOR)
     return float(holds)
 
 

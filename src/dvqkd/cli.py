@@ -79,7 +79,7 @@ def _build_parser() -> _Parser:
     wt.add_argument("--pc", type=float, default=None, help="optional coincidence to classify")
 
     tm = command("tmin", help="minimal secure transmittance, numeric and analytic")
-    add_model_args(tm)
+    add_model_args(tm, with_mu=False)
 
     mc = command("mc-validate", help="analytic statistics against the Monte Carlo oracle")
     add_model_args(mc)
@@ -210,7 +210,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_tmin(args: argparse.Namespace) -> int:
-    params = _make_params(args, t=0.5, mu=args.mu)
+    params = _make_params(args, t=0.5, mu=0.0)
     numeric = boundary.t_min_numeric(params)
     row = {
         "model": args.model,

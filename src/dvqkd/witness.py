@@ -73,8 +73,10 @@ def n_of_v(eps):
 
 
 def _libm(fn):
-    # libm element by element: numpy's vector kernels round the last bit differently on
-    # some CPUs, and P_C's cancellation at small eps would show that bit in the table
+    # libm element by element wherever P_C is read (the table, ng_boundary's final read):
+    # numpy's vector kernels round the last bit differently on some CPUs, and P_C's
+    # cancellation at small eps would show that bit.  P_S does not cancel (<= 3e-16),
+    # so ng_boundary's Newton loop on P_S runs on numpy's kernels
     def elementwise(x):
         x = np.asarray(x)
         return np.fromiter(map(fn, x.ravel().tolist()), float, count=x.size).reshape(x.shape)
@@ -85,7 +87,7 @@ def _libm(fn):
 _log1p, _expm1 = _libm(math.log1p), _libm(math.expm1)
 
 
-def _family(eps):
+def _family(eps, log1p=_log1p, expm1=_expm1):
     """Cancellation-safe (P_S, P_C, dP_S/deps) of the Gaussian family member at eps = 1 - V.
 
     The defining pair fixes the two no-click probabilities R1 (one detector
@@ -93,15 +95,16 @@ def _family(eps):
     P_C = 1 - 2 R1 + R2.  Both R's approach 1 for V -> 1, so the complements
     D = 1 - R = -expm1(a) are computed directly from log/expm1 forms: the
     absolute error then scales with D rather than with 1.  P_C still cancels
-    to a relative error of about 1.6e-15 / eps^2.  eps may be an array.
+    to a relative error of about 1.6e-15 / eps^2.  eps may be an array;
+    ``log1p`` and ``expm1`` are libm's, element by element, unless given.
     """
     v = 1.0 - eps
     n = n_of_v(eps)
     # a_k = log R_k: R2 = 2 sqrt(V)/(V+1) e^(-n/(2+2V)), R1 = 4 sqrt(V/((3V+1)(3+V))) e^(-n/(6+2V))
-    lead = _log1p(-eps)
-    a1 = 0.5 * (lead - _log1p(-eps + 3.0 * eps * eps / 16.0)) - n / (6.0 + 2.0 * v)
-    a2 = 0.5 * lead - _log1p(-0.5 * eps) - n / (2.0 + 2.0 * v)
-    d1, d2 = -_expm1(a1), -_expm1(a2)
+    lead = log1p(-eps)
+    a1 = 0.5 * (lead - log1p(-eps + 3.0 * eps * eps / 16.0)) - n / (6.0 + 2.0 * v)
+    a2 = 0.5 * lead - log1p(-0.5 * eps) - n / (2.0 + 2.0 * v)
+    d1, d2 = -expm1(a1), -expm1(a2)
     # dP_S/deps from D' = -(1 - D) a', where a1' = q / (2 (4 - eps)) and a2' = q / (2 (2 - eps))
     q = (((9.0 * eps - 38.0) * eps + 42.0) * eps + 16.0) * eps - 32.0
     slope = q / (v * (4.0 - 3.0 * eps)) ** 2 * ((1.0 - d1) / (4.0 - eps) - (1.0 - d2) / (2.0 - eps))
@@ -150,10 +153,11 @@ def ng_boundary(p_single):
 
     The precomputed boundary curve brackets the family parameter eps = 1 - V
     and starts it by cubic Hermite interpolation; Newton's method on P_S(eps)
-    then inverts to full precision, taking a bisection step whenever a Newton
-    step would leave the bracket, and P_C is read at eps rounded to the
-    precision P_C holds.  Each element stops once its own step is below
-    ``_NEWTON_TOL``, so its result does not depend on the others.
+    then inverts to full precision on numpy's kernels, taking a bisection step
+    whenever a Newton step would leave the bracket, and P_C is read on libm
+    at eps rounded to the precision P_C holds.  Each element stops once its
+    own step is below ``_NEWTON_TOL``, so its result does not depend on the
+    others.
     """
     curve = ng_boundary_curve(NG_POINTS)
     floor, top = curve.p_single[0], curve.p_single[-1]
@@ -171,7 +175,7 @@ def ng_boundary(p_single):
     eps = u * u * ((1.0 + 2.0 * t) * lo + t * d_lo) + t * t * ((3.0 - 2.0 * t) * hi - u * d_hi)
     live = True
     for _ in range(_NEWTON_STEPS):  # P_S grows with eps on the kept branch
-        ps, _, slope = _family(eps)
+        ps, _, slope = _family(eps, np.log1p, np.expm1)
         lo = np.where(ps < p_single, eps, lo)
         hi = np.where(ps > p_single, eps, hi)
         step = eps - (ps - p_single) / slope

@@ -14,13 +14,13 @@ from typing import Callable
 
 import numpy as np
 
-from dvqkd import channel
+from dvqkd import boundary, channel
 from dvqkd.boundary import MU_CEILING, MU_SEED
 from dvqkd.errors import ParameterDomainError
 from dvqkd.montecarlo import McEstimate, _bernoulli_estimate
 from dvqkd.noise_before import EventProbs, NoiseBeforeParams
 from dvqkd.photon_stats import THERMAL, PhotonDistribution
-from dvqkd.roots import bisect_predicate
+from dvqkd.roots import _MAX_STEPS, REL_TOL
 from dvqkd.spdc import SpdcParams
 from dvqkd.thermal_bath import ThermalBathParams
 from dvqkd.witness import ClickStats, _family, combine, n_of_v
@@ -373,8 +373,35 @@ def gaussian_boundary_point(v: float) -> NGBoundaryPoint:
     return NGBoundaryPoint(v=v, n_of_v=n_of_v(eps), p_single=ps, p_coincidence=pc)
 
 
+def bisect_predicate_one_level(pred: Callable, holds, fails) -> tuple:
+    """The bisection testing one level per predicate call, ``pred(mid)`` on every
+    bracket: final brackets (holds, fails), floats or arrays taken elementwise."""
+    live = True
+    for _ in range(_MAX_STEPS):
+        mid = 0.5 * (holds + fails)
+        ok = pred(mid)
+        holds = np.where(live & ok, mid, holds)
+        fails = np.where(live & np.logical_not(ok), mid, fails)
+        live = live & (np.abs(fails - holds) > REL_TOL * np.maximum(np.abs(holds), np.abs(fails)))
+        if not np.any(live):
+            break
+    return holds, fails
+
+
+def t_min_numeric_one_level(params) -> float | None:
+    """``boundary.t_min_numeric`` probing its ends and bisecting one level per call."""
+    pred = boundary.criterion_predicate(params, boundary.SECURITY)
+    if not pred(0.0, 1.0):
+        return None
+    if pred(0.0, boundary.T_FLOOR):
+        return 0.0
+    holds, _ = bisect_predicate_one_level(lambda t: pred(0.0, t), 1.0, boundary.T_FLOOR)
+    return float(holds)
+
+
 def search_mu_max_doubling(pred: Callable, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The mu_max search doubling one rung per predicate call: (mu_max, feasible)."""
+    """The mu_max search doubling one rung and bisecting one level per predicate call:
+    (mu_max, feasible)."""
     feasible = pred(np.zeros(ts.size), ts)
     holds, fails = np.zeros(ts.size), np.full(ts.size, MU_SEED)
     ceiling = np.zeros(ts.size, dtype=bool)
@@ -386,7 +413,9 @@ def search_mu_max_doubling(pred: Callable, ts: np.ndarray) -> tuple[np.ndarray, 
         holds[up], fails[up] = fails[up], np.minimum(2.0 * fails[up], MU_CEILING)
         which = up
     rest = np.flatnonzero(feasible & ~ceiling)
-    holds, fails = bisect_predicate(lambda mu: pred(mu, ts[rest]), holds[rest], fails[rest])
+    holds, fails = bisect_predicate_one_level(
+        lambda mu: pred(mu, ts[rest]), holds[rest], fails[rest]
+    )
     mu_max = np.where(ceiling, MU_CEILING, 0.0)
     mu_max[rest] = 0.5 * (holds + fails)
     return mu_max, feasible

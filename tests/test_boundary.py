@@ -311,6 +311,204 @@ class TestLadderSearch:
         assert len(calls) <= 30
 
 
+class TestBisectionLevels:
+    """The search bisects several levels per predicate call; every point and every
+    t_min must be the search bisecting one level per call, bit for bit, in fewer calls."""
+
+    VARIANTS = TestMonotoneInMu.VARIANTS
+    POINTS = 60
+
+    @classmethod
+    def _configs(cls, variant, criterion, count):
+        """Seeded configurations and grids, drawn alternately as the batched-sweep and
+        the monotonicity tests draw them."""
+        rng = np.random.default_rng(
+            [13, cls.VARIANTS.index(variant), boundary.CRITERIA.index(criterion)]
+        )
+        for k in range(count):
+            draw = (TestBatchedSweep._draw, TestMonotoneInMu._draw)[k % 2]
+            yield draw(rng, variant), np.geomspace(10.0 ** rng.uniform(-9.0, -2.0), 1.0, cls.POINTS)
+
+    @staticmethod
+    def _counting(monkeypatch):
+        """Counts the calls of every predicate the boundary module builds from here on."""
+        calls = []
+        build = boundary.criterion_predicate
+
+        def counted(params, criterion):
+            pred = build(params, criterion)
+
+            def call(*args):
+                calls.append(1)
+                return pred(*args)
+
+            return call
+
+        monkeypatch.setattr(boundary, "criterion_predicate", counted)
+        return calls
+
+    @pytest.mark.parametrize("criterion", boundary.CRITERIA)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_sweep_and_t_min_match_the_one_level_search(self, variant, criterion):
+        for params, grid in self._configs(variant, criterion, 4):
+            curve = boundary.sweep(params, criterion, grid)
+            pred = boundary.criterion_predicate(params, criterion)
+            want_mu_max, want_feasible = ref.search_mu_max_doubling(pred, grid)
+            assert np.array([pt.mu_max for pt in curve.points]).tobytes() == want_mu_max.tobytes()
+            assert [pt.feasible for pt in curve.points] == want_feasible.tolist()
+            t_min, want = boundary.t_min_numeric(params), ref.t_min_numeric_one_level(params)
+            assert repr(t_min) == repr(want), params
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_t_min_takes_at_most_six_predicate_calls(self, variant, monkeypatch):
+        # one level per call takes 20 to 50: the two ends, then one call per halving
+        calls = self._counting(monkeypatch)
+        for criterion in boundary.CRITERIA:
+            for params, _ in self._configs(variant, criterion, 10):
+                calls.clear()
+                boundary.t_min_numeric(params)
+                assert len(calls) <= 6, params
+
+    @pytest.mark.parametrize("criterion", boundary.CRITERIA)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_sixty_point_sweep_takes_at_most_twelve_predicate_calls(
+        self, variant, criterion, monkeypatch
+    ):
+        # one level per call takes about 24: mu = 0, a few ladder calls, 20 bisection steps
+        calls = self._counting(monkeypatch)
+        for params, grid in self._configs(variant, criterion, 10):
+            calls.clear()
+            boundary.sweep(params, criterion, grid)
+            assert len(calls) <= 12, params
+
+
+class TestFrozenNonGaussianSweeps:
+    """Seeded 60-point non-Gaussian sweeps reproduce their recorded mu_max bit for bit.
+
+    ng_boundary's Newton steps run on numpy's kernels, which the one-level
+    reference search cannot check because it calls the same witness.  These
+    values were recorded at the commit before several bisection levels per
+    call, whose Newton steps ran on libm.
+    """
+
+    # seeded draws where reading P_C with numpy's kernels would change a point
+    SWEEPS = {
+        "thermal-bath/0": (
+            thermal_bath.ThermalBathParams(
+                p=0.7417357370772736, T=1.0, mu=0.0, e=0.028681720908755537, d=7.720944214626774e-05
+            ),
+            1.9790090380776246e-05,
+        ),
+        "thermal-bath/1": (
+            thermal_bath.ThermalBathParams(
+                p=0.11152994434037386, T=1.0, mu=0.0, e=0.05182221775395868, d=0.0
+            ),
+            2.3554350858378086e-08,
+        ),
+        "noise-before/thermal": (
+            noise_before.NoiseBeforeParams(
+                p=0.7022401162883061, T=1.0, mu=0.0, e=0.011647484323251212, d=0.0,
+                noise_kind="thermal",
+            ),
+            6.337171668441452e-09,
+        ),
+        "noise-before/poisson": (
+            noise_before.NoiseBeforeParams(
+                p=0.12948451273247552, T=1.0, mu=0.0, e=0.06357130773667889, d=0.0,
+                noise_kind="poisson",
+            ),
+            2.1442687584658507e-05,
+        ),
+    }
+    # sweep -> mu_max per grid point, in grid order
+    FROZEN = {
+        "thermal-bath/0": [
+            1.0773886108398437e-10, 1.5191888427734376e-10, 2.1421612548828122e-10,
+            3.020596923828125e-10, 4.2592565917968747e-10, 6.00585693359375e-10,
+            8.46870361328125e-10, 1.19415283203125e-09, 1.6838500976562503e-09,
+            2.3743681640625e-09, 3.3480654296874996e-09, 4.721076171875e-09,
+            6.657177734374999e-09, 9.387308593750001e-09, 1.3237160156250003e-08,
+            1.86659921875e-08, 2.6321539062500005e-08, 3.7117203125e-08,
+            5.234123437500001e-08, 7.381059375e-08, 1.0408790625000002e-07,
+            1.467878125e-07, 2.0700918750000002e-07, 2.919446250000001e-07,
+            4.1174212500000004e-07, 5.807192500000002e-07, 8.1908075e-07,
+            1.1553405000000001e-06, 1.6297494999999998e-06, 2.2991350000000005e-06,
+            3.2437450000000006e-06, 4.576941999999998e-06, 6.458906e-06,
+            9.116084e-06, 1.2868731999999998e-05, 1.8170087999999998e-05,
+            2.5661960000000003e-05, 3.6254031999999996e-05, 5.1236912e-05,
+            7.244387199999998e-05, 0.000102482912, 0.0001450704,
+            0.000205514304, 0.000291414144, 0.00041368691199999996,
+            0.0005880742400000001, 0.000837383424, 0.0011948538880000002,
+            0.001709271552, 0.002452886528, 0.003533865984,
+            0.005116356608000001, 0.007453710336, 0.010945253376,
+            0.016237244416000003, 0.024411086848000002, 0.037355274239999986,
+            0.058555940864000004, 0.094942625792, 0.161772273664,
+        ],
+        "thermal-bath/1": [0.0] * 19 + [
+            1.8071216344833378e-13, 3.201044797897339e-13, 5.670897960662842e-13,
+            1.0049405097961427e-12, 1.779853343963623e-12, 3.153563499450684e-12,
+            5.586648941040039e-12, 9.897762298583986e-12, 1.7534675598144538e-11,
+            3.1064865112304675e-11, 5.5036727905273444e-11, 9.750662231445313e-11,
+            1.727510375976563e-10, 3.060657958984375e-10, 5.422707519531249e-10,
+            9.607893066406251e-10, 1.7023715820312501e-09, 3.0164736328125004e-09,
+            5.345267578125e-09, 9.472683593750002e-09, 1.67888515625e-08,
+            2.9759648437500002e-08, 5.276107812500001e-08, 9.356309375e-08,
+            1.659724375e-07, 2.9454662500000004e-07, 5.230247499999999e-07,
+            9.2944725e-07, 1.6533885000000003e-06, 2.9452789999999996e-06,
+            5.256386000000001e-06, 9.404636e-06, 1.6884312000000003e-05,
+            3.0455016000000003e-05, 5.5289744e-05, 0.00010128988800000001,
+            0.00018797600000000002, 0.000355520896, 0.0006920880640000001,
+            0.001411693056, 0.00313048576,
+        ],
+        "noise-before/thermal": [0.0] * 16 + [
+            4.3306387499999996e-07, 5.892657500000001e-07, 8.0206875e-07,
+            1.0914915000000001e-06, 1.4851355e-06, 2.021701e-06,
+            2.7512909999999998e-06, 3.744421e-06, 5.09605e-06,
+            6.935605999999999e-06, 9.439156e-06, 1.2846372e-05,
+            1.7483496000000005e-05, 2.3794504e-05, 3.238353599999999e-05,
+            4.407288e-05, 5.998161599999999e-05, 8.163267200000002e-05,
+            0.00011109871999999998, 0.00015120032000000007, 0.00020577580800000002,
+            0.000280048512, 0.00038112652800000003, 0.0005186808319999998,
+            0.0007058711040000001, 0.0009605982719999998, 0.0013072143360000005,
+            0.001778840064, 0.002420509696, 0.0032934410239999993,
+            0.00448082944, 0.006095685631999999, 0.00829147136,
+            0.011276521472000003, 0.015333691391999998, 0.020847370240000006,
+            0.028341280767999997, 0.038533185536000006, 0.052418428928,
+            0.071408123904, 0.09758195711999999, 0.13420756992,
+            0.186957365248, 0.26723339468799995,
+        ],
+        "noise-before/poisson": [
+            3.59510375e-07, 4.26324125e-07, 5.055522500000001e-07,
+            5.9950075e-07, 7.1093775e-07, 8.430507500000001e-07,
+            9.9974325e-07, 1.1855395e-06, 1.4058694999999999e-06,
+            1.6671485000000003e-06, 1.9769894999999995e-06, 2.3444030000000002e-06,
+            2.7801070000000007e-06, 3.2967890000000003e-06, 3.909484999999999e-06,
+            4.636062000000002e-06, 5.4976699999999995e-06, 6.51941e-06,
+            7.731046e-06, 9.167868e-06, 1.0871732e-05,
+            1.2892267999999998e-05, 1.5288340000000003e-05, 1.8129752e-05,
+            2.1499271999999996e-05, 2.5495080000000005e-05, 3.0233575999999996e-05,
+            3.5852847999999995e-05, 4.2516656000000005e-05, 5.041912e-05,
+            5.979063999999999e-05, 7.0904352e-05, 8.408419200000002e-05,
+            9.971452800000002e-05, 0.000118251168, 0.00014023481600000003,
+            0.00016630688000000002, 0.00019722848, 0.00023390252799999998,
+            0.00027740044799999997, 0.0003289934080000001, 0.00039019123200000007,
+            0.00046278540799999995, 0.00054890368, 0.0006510727680000001,
+            0.0007722959360000002, 0.0009161413120000001, 0.001086854656,
+            0.0012894868480000004, 0.001530055168, 0.0018157317120000003,
+            0.002155076608, 0.0025583298560000007, 0.0030377523199999995,
+            0.003608071168, 0.004287031296000001, 0.005096085504,
+            0.00606133248, 0.007214675968, 0.008595451904,
+        ],
+    }
+
+    @pytest.mark.parametrize("name", list(SWEEPS))
+    def test_sweep_is_bit_identical(self, name):
+        params, low = self.SWEEPS[name]
+        grid = np.geomspace(low, 0.5, 60)
+        got = [pt.mu_max for pt in boundary.sweep(params, boundary.NONGAUSSIAN, grid).points]
+        assert [v.hex() for v in got] == [v.hex() for v in self.FROZEN[name]]
+
+
 class TestTMinNumeric:
     def test_single_photon_models_match_closed_form(self):
         for d in (1e-5, 1e-3):

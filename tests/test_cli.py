@@ -320,6 +320,21 @@ def test_nan_witness_inputs_are_config_errors(capsys, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--model", "thermal-bath", "--t-grid", "1e-3:1:4:log", "--mu", "0.3"],
+        ["tmin", "--model", "thermal-bath", "--p", "1", "--d", "1e-3", "--mu", "0.3"],
+    ],
+)
+def test_mu_is_rejected_where_the_solver_sets_it(capsys, argv):
+    # sweep scans mu itself and t_min_numeric solves at mu = 0: a given --mu would be ignored
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+
+
 @pytest.mark.parametrize("out", ["missing/x.csv", "."])
 def test_unwritable_out_is_a_config_error(capsys, tmp_path, out):
     code, stdout, err = run(capsys, "witness", "--ps", "1e-3", "--out", str(tmp_path / out))
@@ -409,7 +424,7 @@ def _argv(draw):
     required, optional = _COMMANDS[command]
     if command not in ("witness", "ng-curve"):
         required = {**required, "--model": _MODEL_NAMES}
-    if command == "sweep":
+    if command in ("sweep", "tmin"):
         optional = {k: v for k, v in optional.items() if k != "--mu"}
     flags = draw(st.fixed_dictionaries(required, optional=optional))
     # --flag=value, so that values such as -inf are not read as options

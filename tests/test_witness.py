@@ -107,6 +107,14 @@ class TestNgCurve:
         c2 = witness.ng_boundary_curve(128)
         assert all(np.array_equal(a, b) for a, b in zip(c1, c2))
 
+    @pytest.mark.parametrize("num_points", [16, witness.NG_POINTS, 1199])
+    def test_table_is_the_family_on_libm(self, num_points):
+        # P_C cancels at small eps, where numpy's vector kernels could change its last
+        # bit: each row must be the family evaluated one float at a time on libm
+        curve = witness.ng_boundary_curve(num_points)
+        for eps, *row in zip(*(column.tolist() for column in curve)):
+            assert witness._family(eps, math.log1p, math.expm1) == tuple(row)
+
     def test_cached_table_is_read_only(self):
         with pytest.raises(ValueError):
             witness.ng_boundary_curve().p_single[0] = 0.0
