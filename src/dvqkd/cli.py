@@ -230,6 +230,8 @@ def _cmd_tmin(args: argparse.Namespace) -> int:
 def _cmd_mc_validate(args: argparse.Namespace) -> int:
     if not (1.0 <= args.samples <= MAX_SAMPLES and args.samples.is_integer()):
         raise _CliError(f"samples must be an integer in [1, {MAX_SAMPLES:g}], got {args.samples:g}")
+    if args.seed < 0:
+        raise _CliError(f"--seed must be a non-negative integer, got {args.seed}")
     params = _make_params(args, t=args.t, mu=args.mu)
     config = montecarlo.McConfig(samples=int(args.samples), seed=args.seed)
     analytic = _analytic_reference(params)

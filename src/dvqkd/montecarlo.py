@@ -12,13 +12,21 @@ index), so results are bit-identical however the blocks are distributed
 over workers.  Dark counts follow the channel models' accounting: they
 decide an event only when no real photon reached the detectors, which is
 the leading-order regime the analytic expressions encode.
+
+A draw is skipped only where skipping it moves no other draw, so every
+seeded stream is the one that drawing every random number of the full arrays
+gives: a thinning calls numpy's binomial only on nonzero counts (for a zero
+count it draws nothing anyway), and at d = 0 the dark counts, the last draws
+of a key block, are not drawn.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -42,8 +50,17 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.samples < 1:
-            raise ParameterDomainError(f"samples must be >= 1, got {self.samples}")
+        _check_integer("samples", self.samples, least=1)
+        _check_integer("seed", self.seed, least=0)
+
+
+def _check_integer(name: str, value, least: int) -> None:
+    try:
+        ok = operator.index(value) >= least
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ParameterDomainError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -62,8 +79,22 @@ def _sample_noise(rng: np.random.Generator, dist: ps.PhotonDistribution, n: int)
     if dist.mean == 0.0:
         return np.zeros(n, dtype=np.int64)
     if dist.kind == ps.THERMAL:
-        return rng.geometric(1.0 / (1.0 + dist.mean), size=n).astype(np.int64) - 1
-    return rng.poisson(dist.mean, size=n).astype(np.int64)
+        counts = rng.geometric(1.0 / (1.0 + dist.mean), size=n)
+        counts -= 1
+        return counts
+    return rng.poisson(dist.mean, size=n)
+
+
+def _thin(rng: np.random.Generator, counts: np.ndarray, keep) -> np.ndarray:
+    """``rng.binomial(counts, keep)``, called on the nonzero counts alone.
+
+    numpy draws nothing for a zero count, so the stream is the full call's;
+    an array ``keep`` is taken at the same elements.
+    """
+    kept = np.zeros_like(counts)
+    some = np.flatnonzero(counts > 0)  # a bool mask: flatnonzero on int64 is slower
+    kept[some] = rng.binomial(counts[some], keep if np.ndim(keep) == 0 else keep[some])
+    return kept
 
 
 def _counts(**indicators: np.ndarray) -> dict[str, int]:
@@ -155,17 +186,17 @@ def _key_clicks(
     signal_wrong = signal_arrives & flipped
     real_right = signal_right | (right_noise >= 1)
     real_wrong = signal_wrong | (wrong_noise >= 1)
-    any_real = real_right | real_wrong
-    dark_right = rng.random(n) < d
-    dark_wrong = rng.random(n) < d
-    click_right = real_right | (~any_real & dark_right)
-    click_wrong = real_wrong | (~any_real & dark_wrong)
+    click_right, click_wrong = real_right, real_wrong
+    if d > 0.0:  # at d = 0 no dark count clicks, and these are the block's last draws
+        any_real = real_right | real_wrong
+        click_right = real_right | (~any_real & (rng.random(n) < d))
+        click_wrong = real_wrong | (~any_real & (rng.random(n) < d))
     accepted = click_right ^ click_wrong
     return accepted, accepted & click_wrong
 
 
 def _autocorr_clicks(rng: np.random.Generator, arrivals: np.ndarray) -> dict[str, int]:
-    at_a = rng.binomial(arrivals, 0.5)
+    at_a = _thin(rng, arrivals, 0.5)
     at_b = arrivals - at_a
     return _counts(
         p_single=(arrivals >= 1) & ((at_a == 0) | (at_b == 0)),
@@ -182,17 +213,34 @@ def _single_photon(rng: np.random.Generator, params, n: int) -> tuple[np.ndarray
     return emitted & (rng.random(n) < params.T), None
 
 
-def _poisson_ppf(u: np.ndarray, nu: float) -> np.ndarray:
-    """Smallest k with P(N <= k) >= u for N ~ Poisson(nu), by table lookup.
+@lru_cache(maxsize=16)
+def _minus_upper_tail(nu: float) -> np.ndarray:
+    """-P(N > k) for N ~ Poisson(nu) and k = 0, 1, ...: a cached, read-only, ascending table.
 
     The table runs 40 standard deviations past the mean, and the upper tails
-    P(N > k) are summed from the top down so that no entry is a difference.
+    are summed from the top down so that no entry is a difference.
     """
     k = np.arange(int(nu + 40.0 * math.sqrt(nu) + 60.0))
     log_fact = np.array([math.lgamma(j + 1.0) for j in range(k.size)])
     pmf = np.exp(k * math.log(nu) - nu - log_fact)
-    above = np.append(np.cumsum(pmf[:0:-1])[::-1], 0.0)  # above[k] = P(N > k)
-    return np.searchsorted(-above, -(1.0 - u))
+    table = -np.append(np.cumsum(pmf[:0:-1])[::-1], 0.0)
+    table.setflags(write=False)
+    return table
+
+
+def _poisson_ppf(u: np.ndarray, nu: float) -> np.ndarray:
+    """Smallest k with P(N <= k) >= u for N ~ Poisson(nu), by table lookup.
+
+    k counts the entries with P(N > k) > 1 - u.  Two comparisons settle k = 0
+    and k = 1, where at least 1 - nu/2 of the herald-conditioned draws land;
+    only the draws with P(N > 1) > 1 - u are searched.
+    """
+    table = _minus_upper_tail(nu)
+    x = -(1.0 - u)
+    k = (table[0] < x).astype(np.intp)
+    deep = np.flatnonzero(table[1] < x)
+    k[deep] = np.searchsorted(table, x[deep])
+    return k
 
 
 # the Poisson law pair counts are drawn from, through its quantile function
@@ -211,17 +259,17 @@ def _heralded_pairs(rng: np.random.Generator, params, n: int) -> tuple[np.ndarra
     p0 = math.exp(-params.nu)
     u = p0 + (1.0 - p0) * rng.random(n)
     # keep strictly above the vacuum mass and below 1, where the quantile is unbounded
-    u = np.clip(u, np.nextafter(p0, 1.0), np.nextafter(1.0, 0.0))
+    u = np.minimum(np.maximum(u, np.nextafter(p0, 1.0)), np.nextafter(1.0, 0.0))
     pairs = _poisson.ppf(u, params.nu)
-    return rng.binomial(pairs, params.T), pairs >= 2
+    return rng.binomial(pairs, params.T), pairs >= 2  # pairs >= 1: no zero count to skip
 
 
 def _block_bath(rng: np.random.Generator, params, n: int, target: str, signal) -> dict[str, int]:
     arriving, multi = signal(rng, params, n)
     bath = params.bath()
     # bath photons couple into Bob's path through the reflected (1-T) port
-    right = rng.binomial(_sample_noise(rng, bath, n), 1.0 - params.T)
-    wrong = rng.binomial(_sample_noise(rng, bath, n), 1.0 - params.T)
+    right = _thin(rng, _sample_noise(rng, bath, n), 1.0 - params.T)
+    wrong = _thin(rng, _sample_noise(rng, bath, n), 1.0 - params.T)
     if target == AUTOCORR:
         return _autocorr_clicks(rng, arriving + right + wrong)
     flipped = _depolarization_flips(rng, params.e, n)
@@ -236,14 +284,14 @@ def _block_noise_before(
 ) -> dict[str, int]:
     arriving, _ = signal(rng, params, n)
     transmitted = arriving >= 1
-    survivors = rng.binomial(_sample_noise(rng, params.noise(), n), params.T)
+    survivors = _thin(rng, _sample_noise(rng, params.noise(), n), params.T)
     if target == AUTOCORR:
         return _autocorr_clicks(rng, arriving + survivors)
     # one random polarization per noise pulse; the relative phase never
     # enters any routing probability but is drawn to mirror the state
     x = rng.random(n)
     rng.random(n)  # phase
-    at_right = rng.binomial(survivors, x)
+    at_right = _thin(rng, survivors, x)
     at_wrong = survivors - at_right
     flipped = _depolarization_flips(rng, params.e, n)
     accepted, error = _key_clicks(rng, n, transmitted, flipped, at_right, at_wrong, params.d)

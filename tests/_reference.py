@@ -9,15 +9,27 @@ them.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
 from dvqkd import boundary, channel
+from dvqkd import photon_stats as ps
 from dvqkd.boundary import MU_CEILING, MU_SEED
 from dvqkd.errors import ParameterDomainError
-from dvqkd.montecarlo import McEstimate, _bernoulli_estimate
+from dvqkd.montecarlo import (
+    _BLOCK,
+    AUTOCORR,
+    NU_MAX,
+    McConfig,
+    McEstimate,
+    _assemble,
+    _bernoulli_estimate,
+    _counts,
+)
 from dvqkd.noise_before import EventProbs, NoiseBeforeParams
 from dvqkd.photon_stats import THERMAL, PhotonDistribution
 from dvqkd.roots import _MAX_STEPS, REL_TOL
@@ -419,3 +431,154 @@ def search_mu_max_doubling(pred: Callable, ts: np.ndarray) -> tuple[np.ndarray, 
     mu_max = np.where(ceiling, MU_CEILING, 0.0)
     mu_max[rest] = 0.5 * (holds + fails)
     return mu_max, feasible
+
+
+# The Monte Carlo block samplers drawing every random number of the full arrays,
+# verbatim; ``montecarlo.simulate`` skips only draws that cannot change a count
+# and must return the same estimates bit for bit.
+
+def _sample_noise(rng: np.random.Generator, dist: ps.PhotonDistribution, n: int) -> np.ndarray:
+    if dist.mean == 0.0:
+        return np.zeros(n, dtype=np.int64)
+    if dist.kind == ps.THERMAL:
+        return rng.geometric(1.0 / (1.0 + dist.mean), size=n).astype(np.int64) - 1
+    return rng.poisson(dist.mean, size=n).astype(np.int64)
+
+
+def _depolarization_flips(rng: np.random.Generator, e: float, n: int) -> np.ndarray:
+    # mixing in the fully depolarized state flips the measured bit half the time
+    return rng.random(n) < 0.5 * e
+
+
+def _key_clicks(
+    rng: np.random.Generator,
+    n: int,
+    signal_arrives: np.ndarray,
+    flipped: np.ndarray,
+    right_noise: np.ndarray,
+    wrong_noise: np.ndarray,
+    d: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(accepted, erroneous) pulse indicators: exactly one detector clicks, the wrong one."""
+    signal_right = signal_arrives & ~flipped
+    signal_wrong = signal_arrives & flipped
+    real_right = signal_right | (right_noise >= 1)
+    real_wrong = signal_wrong | (wrong_noise >= 1)
+    any_real = real_right | real_wrong
+    dark_right = rng.random(n) < d
+    dark_wrong = rng.random(n) < d
+    click_right = real_right | (~any_real & dark_right)
+    click_wrong = real_wrong | (~any_real & dark_wrong)
+    accepted = click_right ^ click_wrong
+    return accepted, accepted & click_wrong
+
+
+def _autocorr_clicks(rng: np.random.Generator, arrivals: np.ndarray) -> dict[str, int]:
+    at_a = rng.binomial(arrivals, 0.5)
+    at_b = arrivals - at_a
+    return _counts(
+        p_single=(arrivals >= 1) & ((at_a == 0) | (at_b == 0)),
+        p_coincidence=(at_a >= 1) & (at_b >= 1),
+        p_none=arrivals == 0,
+        omega1=arrivals == 1,
+        omega2plus=arrivals >= 2,
+    )
+
+
+def _single_photon(rng: np.random.Generator, params, n: int) -> tuple[np.ndarray, None]:
+    """Whether the photon a source emits with probability p reaches Bob."""
+    emitted = rng.random(n) < params.p
+    return emitted & (rng.random(n) < params.T), None
+
+
+def _poisson_ppf(u: np.ndarray, nu: float) -> np.ndarray:
+    """Smallest k with P(N <= k) >= u for N ~ Poisson(nu), by table lookup.
+
+    The table runs 40 standard deviations past the mean, and the upper tails
+    P(N > k) are summed from the top down so that no entry is a difference.
+    """
+    k = np.arange(int(nu + 40.0 * math.sqrt(nu) + 60.0))
+    log_fact = np.array([math.lgamma(j + 1.0) for j in range(k.size)])
+    pmf = np.exp(k * math.log(nu) - nu - log_fact)
+    above = np.append(np.cumsum(pmf[:0:-1])[::-1], 0.0)  # above[k] = P(N > k)
+    return np.searchsorted(-above, -(1.0 - u))
+
+
+# the Poisson law pair counts are drawn from, through its quantile function
+_poisson = SimpleNamespace(ppf=_poisson_ppf)
+
+
+def _heralded_pairs(rng: np.random.Generator, params, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Signal photons reaching Bob from a heralded pulse, and which pulses held >= 2 pairs.
+
+    Pair counts are drawn conditioned on the ideal herald (at least one pair).
+    """
+    if not 0.0 < params.nu <= NU_MAX:
+        raise ParameterDomainError(
+            f"spdc Monte Carlo needs a pair mean nu in (0, {NU_MAX:g}], got {params.nu:g}"
+        )
+    p0 = math.exp(-params.nu)
+    u = p0 + (1.0 - p0) * rng.random(n)
+    # keep strictly above the vacuum mass and below 1, where the quantile is unbounded
+    u = np.clip(u, np.nextafter(p0, 1.0), np.nextafter(1.0, 0.0))
+    pairs = _poisson.ppf(u, params.nu)
+    return rng.binomial(pairs, params.T), pairs >= 2
+
+
+def _block_bath(rng: np.random.Generator, params, n: int, target: str, signal) -> dict[str, int]:
+    arriving, multi = signal(rng, params, n)
+    bath = params.bath()
+    # bath photons couple into Bob's path through the reflected (1-T) port
+    right = rng.binomial(_sample_noise(rng, bath, n), 1.0 - params.T)
+    wrong = rng.binomial(_sample_noise(rng, bath, n), 1.0 - params.T)
+    if target == AUTOCORR:
+        return _autocorr_clicks(rng, arriving + right + wrong)
+    flipped = _depolarization_flips(rng, params.e, n)
+    accepted, error = _key_clicks(rng, n, arriving >= 1, flipped, right, wrong, params.d)
+    if multi is None:
+        return _counts(p_exp=accepted, qber=error)
+    return _counts(p_exp=accepted, qber=error, p_multi=multi, multi_and_accepted=multi & accepted)
+
+
+def _block_noise_before(
+    rng: np.random.Generator, params, n: int, target: str, signal
+) -> dict[str, int]:
+    arriving, _ = signal(rng, params, n)
+    transmitted = arriving >= 1
+    survivors = rng.binomial(_sample_noise(rng, params.noise(), n), params.T)
+    if target == AUTOCORR:
+        return _autocorr_clicks(rng, arriving + survivors)
+    # one random polarization per noise pulse; the relative phase never
+    # enters any routing probability but is drawn to mirror the state
+    x = rng.random(n)
+    rng.random(n)  # phase
+    at_right = rng.binomial(survivors, x)
+    at_wrong = survivors - at_right
+    flipped = _depolarization_flips(rng, params.e, n)
+    accepted, error = _key_clicks(rng, n, transmitted, flipped, at_right, at_wrong, params.d)
+    noisy = survivors >= 1
+    return _counts(
+        p_exp=accepted,
+        qber=error,
+        p_exp_signal=accepted & transmitted & ~noisy,
+        p_exp_noise=accepted & ~transmitted & noisy,
+        p_exp_noise_signal=accepted & transmitted & noisy,
+        p_exp_dark=accepted & ~transmitted & ~noisy,
+    )
+
+
+_BLOCKS = {
+    "thermal-bath": (_single_photon, _block_bath),
+    "noise-before": (_single_photon, _block_noise_before),
+    "spdc": (_heralded_pairs, _block_bath),
+}
+
+
+def simulate_every_draw(params, config: McConfig, target: str) -> dict[str, McEstimate]:
+    """``montecarlo.simulate`` on the samplers above, one generator per block."""
+    signal, block = _BLOCKS[channel.model(params).name]
+    counts = Counter()
+    for block_index, start in enumerate(range(0, config.samples, _BLOCK)):
+        rng = np.random.default_rng([config.seed, block_index])
+        counts.update(block(rng, params, min(_BLOCK, config.samples - start), target, signal))
+    return _assemble(counts, config.samples)

@@ -335,6 +335,12 @@ def test_mu_is_rejected_where_the_solver_sets_it(capsys, argv):
     assert err.startswith("error: ")
 
 
+def test_negative_seed_names_the_flag(capsys):
+    code, out, err = run(capsys, "mc-validate", "--model", "spdc", "--samples", "10", "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: --seed must be a non-negative integer, got -1\n"
+
+
 @pytest.mark.parametrize("out", ["missing/x.csv", "."])
 def test_unwritable_out_is_a_config_error(capsys, tmp_path, out):
     code, stdout, err = run(capsys, "witness", "--ps", "1e-3", "--out", str(tmp_path / out))

@@ -169,6 +169,33 @@ class TestPoissonQuantile:
         u = np.clip(u, np.nextafter(p0, 1.0), np.nextafter(1.0, 0.0))
         assert np.array_equal(mc._poisson.ppf(u, nu), poisson.ppf(u, nu))
 
+    @staticmethod
+    def _around_tail(nu: float, j: int) -> np.ndarray:
+        """u with 1 - u exactly P(N > j) as the table holds it, and one ulp of 1 - u to either side."""
+        tail = -mc._minus_upper_tail(nu)[j]
+        q = np.array([np.nextafter(tail, 0.0), tail, np.nextafter(tail, 1.0)])
+        u = 1.0 - q
+        assert np.array_equal(1.0 - u, q)  # exact while P(N > j) >= 1/2
+        return u
+
+    @pytest.mark.parametrize("j", [0, 1])
+    @pytest.mark.parametrize("nu", [2.0, 5.0, 30.0])
+    def test_two_comparisons_keep_the_search_edges(self, nu, j):
+        u = self._around_tail(nu, j)
+        assert np.array_equal(mc._poisson.ppf(u, nu), ref._poisson_ppf(u, nu))
+
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_edges_match_scipy(self, j):
+        from scipy.stats import poisson
+
+        # scipy inverts its CDF numerically, and the table's tails near 1 are
+        # summed to within tens of ulps, so the two agree to the last ulp of
+        # 1 - u only where both are rounded alike: at nu = 2 both tails are
+        # within 0.3 ulp of exact
+        u = self._around_tail(2.0, j)
+        assert np.array_equal(mc._poisson.ppf(u, 2.0), poisson.ppf(u, 2.0))
+        assert mc._poisson.ppf(u, 2.0).tolist() == [j + 1, j, j]
+
     @pytest.mark.parametrize("nu", [0.0, 2 * mc.NU_MAX, 1e12])
     def test_pair_mean_outside_table_rejected(self, nu):
         pr = spdc.SpdcParams(nu=nu, T=0.3, mu=0.05)
@@ -192,6 +219,23 @@ class TestPolarizationIntegration:
             ref.same_detector_fraction(0, samples=100, seed=1)
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("samples", [0, -5, 1.5, float("nan"), 1e6, "10", None])
+    def test_samples_must_be_a_positive_integer(self, samples):
+        with pytest.raises(ParameterDomainError, match="samples"):
+            mc.McConfig(samples=samples)
+
+    @pytest.mark.parametrize("seed", [-1, 1.0, float("nan"), "7", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ParameterDomainError, match="seed"):
+            mc.McConfig(seed=seed)
+
+    def test_numpy_integers_accepted(self):
+        config = mc.McConfig(samples=np.int64(3), seed=np.uint64(2**64 - 1))
+        pr = tb.ThermalBathParams(p=0.5, T=0.5, mu=0.0)
+        assert mc.simulate(pr, config, mc.KEY)["p_exp"].samples == 3
+
+
 def test_std_err_is_bernoulli():
     pr = tb.ThermalBathParams(p=0.5, T=0.5, mu=0.0)
     out = mc.simulate(pr, mc.McConfig(samples=100_000, seed=5), mc.KEY)
@@ -203,6 +247,44 @@ def test_unknown_target_rejected():
     pr = tb.ThermalBathParams(p=0.5, T=0.5, mu=0.0)
     with pytest.raises(ParameterDomainError):
         mc.simulate(pr, mc.McConfig(samples=100, seed=1), "sideways")
+
+
+class TestEveryDrawReference:
+    """``simulate`` returns bit for bit what the samplers drawing every random number return.
+
+    The grid covers each variant and geometry at dark counts on and off, no to
+    bright noise, transmittances from 1e-6 to 1, and pair means from 1e-12 to
+    ``NU_MAX``; the spdc pair mean and the depolarization move with (mu, T) so
+    that each pairs with every value of both.  70,001 samples leave a partial
+    last block.
+    """
+
+    CONFIG = mc.McConfig(samples=70_001, seed=3)
+    GRID = [
+        (d, mu, T, (1e-12, 2.0, mc.NU_MAX)[(i + j) % 3], (0.0, 0.05)[(i + j) % 2])
+        for d in (0.0, 1e-3)
+        for i, mu in enumerate((0.0, 1e-9, 0.2, 300.0))
+        for j, T in enumerate((1e-6, 0.4, 1.0))
+    ]
+
+    @staticmethod
+    def _params(variant, d, mu, T, nu, e):
+        if variant == "thermal-bath":
+            return tb.ThermalBathParams(p=0.7, T=T, mu=mu, e=e, d=d)
+        if variant == "spdc":
+            return spdc.SpdcParams(nu=nu, T=T, mu=mu, e=e, d=d)
+        kind = variant.split("/")[1]
+        return nb.NoiseBeforeParams(p=0.7, T=T, mu=mu, e=e, d=d, noise_kind=kind)
+
+    @pytest.mark.parametrize("target", [mc.KEY, mc.AUTOCORR])
+    @pytest.mark.parametrize(
+        "variant", ["thermal-bath", "noise-before/thermal", "noise-before/poisson", "spdc"]
+    )
+    def test_same_estimates(self, variant, target):
+        for point in self.GRID:
+            params = self._params(variant, *point)
+            expected = ref.simulate_every_draw(params, self.CONFIG, target)
+            assert mc.simulate(params, self.CONFIG, target) == expected, point
 
 
 class TestFrozenStream:
