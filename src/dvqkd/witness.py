@@ -28,6 +28,13 @@ _NEWTON_TOL = 1e-8  # a Newton step this small leaves eps within ~1e-16
 NG_POINTS = 512  # grid points of the boundary table every witness query brackets in
 
 
+def _within(value, lo, hi) -> bool:
+    """lo <= value <= hi everywhere, False at NaN: plain comparisons for a float, else np.all."""
+    if isinstance(value, float):
+        return lo <= value <= hi
+    return bool(np.all((lo <= value) & (value <= hi)))
+
+
 @dataclass(frozen=True)
 class ClickStats:
     """Autocorrelation outcome probabilities (floats or arrays): one click, coincidence, none."""
@@ -39,12 +46,12 @@ class ClickStats:
     def __post_init__(self) -> None:
         for name in ("p_single", "p_coincidence", "p_none"):
             value = getattr(self, name)
-            if not np.all((_NEG_CLAMP <= value) & (value <= 1.0 + 1e-12)):
+            if not _within(value, _NEG_CLAMP, 1.0 + 1e-12):
                 raise ParameterDomainError(f"{name} out of [0, 1]: {value}")
             # rounding noise from cancellation-safe closed forms
             object.__setattr__(self, name, np.maximum(value, 0.0))
         total = self.p_single + self.p_coincidence + self.p_none
-        if np.any(np.abs(total - 1.0) > _SUM_TOL):
+        if not _within(total - 1.0, -_SUM_TOL, _SUM_TOL):
             raise ParameterDomainError(f"click probabilities sum to {total}, expected 1")
 
 
@@ -55,9 +62,9 @@ def nc_boundary(p_single: float) -> float:
     weak-light limit P_C -> P_S^2 / 4; the larger root bounds the bunched
     side of the classical region and is not used here.
     """
-    if not np.all((0.0 <= p_single) & (p_single <= 1.0)):
+    if not _within(p_single, 0.0, 1.0):
         raise ParameterDomainError(f"p_single must be in [0, 1], got {p_single}")
-    if np.any(p_single > 0.5):
+    if not _within(p_single, 0.0, 0.5):
         raise BoundaryDomainError(
             f"classical boundary undefined for p_single > 0.5 (got {p_single})"
         )
@@ -73,10 +80,11 @@ def n_of_v(eps):
 
 
 def _libm(fn):
-    # libm element by element wherever P_C is read (the table, ng_boundary's final read):
-    # numpy's vector kernels round the last bit differently on some CPUs, and P_C's
-    # cancellation at small eps would show that bit.  P_S does not cancel (<= 3e-16),
-    # so ng_boundary's Newton loop on P_S runs on numpy's kernels
+    # libm element by element wherever P_C decides (the table, ng_boundary's final read,
+    # is_nongaussian's ties): numpy's vector kernels round the last bit differently on
+    # some CPUs, and P_C's cancellation at small eps would show that bit.  P_S does not
+    # cancel (<= 3e-16), so the Newton loop on P_S runs on numpy's kernels, and so does
+    # is_nongaussian's first P_C read, which only decides outside a margin
     def elementwise(x):
         x = np.asarray(x)
         return np.fromiter(map(fn, x.ravel().tolist()), float, count=x.size).reshape(x.shape)
@@ -148,26 +156,17 @@ def ng_boundary_curve(num_points: int = NG_POINTS) -> NgCurve:
     return curve
 
 
-def ng_boundary(p_single):
-    """Maximal Gaussian-mixture coincidence deficit at the given P_S (a float or an array).
+def _boundary_eps(p_single, i):
+    """The family parameter eps = 1 - V at which the boundary reads P_C for P_S in the span.
 
-    The precomputed boundary curve brackets the family parameter eps = 1 - V
-    and starts it by cubic Hermite interpolation; Newton's method on P_S(eps)
-    then inverts to full precision on numpy's kernels, taking a bisection step
-    whenever a Newton step would leave the bracket, and P_C is read on libm
-    at eps rounded to the precision P_C holds.  Each element stops once its
-    own step is below ``_NEWTON_TOL``, so its result does not depend on the
-    others.
+    The rows i - 1 and i of the precomputed boundary curve bracket eps and
+    start it by cubic Hermite interpolation; Newton's method on P_S(eps)
+    then inverts to full precision on numpy's kernels, taking a bisection
+    step whenever a Newton step would leave the bracket.  Each element stops
+    once its own step is below ``_NEWTON_TOL``, so its result does not
+    depend on the others.
     """
     curve = ng_boundary_curve(NG_POINTS)
-    floor, top = curve.p_single[0], curve.p_single[-1]
-    if not np.all((0.0 <= p_single) & (p_single <= 1.0)):
-        raise ParameterDomainError(f"p_single must be in [0, 1], got {p_single}")
-    if not np.all((floor <= p_single) & (p_single <= top)):
-        raise BoundaryDomainError(
-            f"p_single={p_single} outside the tabulated boundary span [{floor:g}, {top:g}]"
-        )
-    i = np.clip(np.searchsorted(curve.p_single, p_single), 1, curve.eps.size - 1)
     lo, hi = curve.eps[i - 1], curve.eps[i]
     width = curve.p_single[i] - curve.p_single[i - 1]
     t = (p_single - curve.p_single[i - 1]) / width
@@ -190,7 +189,45 @@ def ng_boundary(p_single):
     # test would flicker in mu below P_S ~ 1e-4
     mantissa, exponent = np.frexp(eps)
     bits = 2 * exponent + 51
-    return _family(np.ldexp(np.round(np.ldexp(mantissa, bits)), exponent - bits))[1][()]
+    return np.ldexp(np.round(np.ldexp(mantissa, bits)), exponent - bits)
+
+
+def ng_boundary(p_single):
+    """Maximal Gaussian-mixture coincidence deficit at the given P_S (a float or an array).
+
+    ``_boundary_eps`` inverts the family's P_S to eps = 1 - V, rounded to
+    the precision P_C holds, and P_C is read there on libm.
+    """
+    curve = ng_boundary_curve(NG_POINTS)
+    floor, top = curve.p_single[0], curve.p_single[-1]
+    if not _within(p_single, 0.0, 1.0):
+        raise ParameterDomainError(f"p_single must be in [0, 1], got {p_single}")
+    if not _within(p_single, floor, top):
+        raise BoundaryDomainError(
+            f"p_single={p_single} outside the tabulated boundary span [{floor:g}, {top:g}]"
+        )
+    i = np.clip(np.searchsorted(curve.p_single, p_single), 1, curve.eps.size - 1)
+    return _family(_boundary_eps(p_single, i))[1][()]
+
+
+def _tie_margin(eps):
+    """Relative distance from a boundary estimate within which only a libm read decides.
+
+    In units of 2^-52 / eps^2: P_C cancels to about 1.6e-15 / eps^2, 7.2
+    units, per ulp of difference in the log1p/expm1 values it is read from,
+    and rounding eps to its grid moves P_C ~ eps^3 by at most 3 units.  The
+    margin is 64 units, plus 1e-13 for the Newton residual and the O(1) terms
+    at large eps:
+
+    - against the table bracket, at the bracket's smaller eps: the table's
+      libm read, the boundary's libm read and its eps rounding need about
+      7.2 + 7.2 + 3 units; the boundary left its bracket by at most 28, at
+      the table's own P_S (300,000 log-uniform P_S and every table point);
+    - against a read on numpy's kernels: room for about 9 ulps of kernel
+      difference from libm, summed over the five reads.  numpy's AVX-512
+      kernels are within 1 ulp of libm, and moved P_C by at most 23 units.
+    """
+    return 64.0 * 2.0**-52 / (eps * eps) + 1e-13
 
 
 def is_nonclassical(stats: ClickStats):
@@ -211,13 +248,42 @@ def is_nongaussian(stats: ClickStats):
     Above the largest single-click probability attainable by the Gaussian
     family the achievable region is empty and every state is flagged; at or
     below the tabulated floor the light is indistinguishable from vacuum and
-    never flagged; in between the strict comparison against the boundary
-    decides.
+    never flagged; in between the strict comparison P_C < ng_boundary(P_S)
+    decides.  The result is that comparison's bit for bit, but the costly
+    reads run only where they can change it:
+
+    1. the table: P_C below its bracket's lower table value, or at or above
+       the upper one, each widened by ``_tie_margin``, decides alone;
+    2. the rest take ``_boundary_eps`` and a P_C read on numpy's kernels,
+       which decides outside the same margin around it;
+    3. the ties left read P_C on libm, one value at a time, as ng_boundary.
     """
     curve = ng_boundary_curve(NG_POINTS)
-    floor, top, ps = curve.p_single[0], curve.p_single[-1], stats.p_single
-    below = stats.p_coincidence < ng_boundary(np.clip(ps, floor, top))
-    return (ps > top) | ((floor < ps) & (ps <= top) & below)
+    floor, top = curve.p_single[0], curve.p_single[-1]
+    if not _within(stats.p_single, -np.inf, np.inf):  # NaN, which ng_boundary rejects
+        raise ParameterDomainError(
+            f"p_single must be in [0, 1], got {np.clip(stats.p_single, floor, top)}"
+        )
+    ps, pc = np.broadcast_arrays(stats.p_single, stats.p_coincidence)
+    shape, ps, pc = ps.shape, ps.ravel(), pc.ravel()
+    flag = ps > top
+    (inside,) = np.nonzero((floor < ps) & (ps <= top))
+    ps, pc = ps[inside], pc[inside]
+    i = np.searchsorted(curve.p_single, ps)  # 1 <= i < size: floor < ps <= top
+    margin = _tie_margin(curve.eps[i - 1])
+    below = pc < curve.p_coincidence[i - 1] * (1.0 - margin)
+    (near,) = np.nonzero(~below & (pc < curve.p_coincidence[i] * (1.0 + margin)))
+    if near.size:
+        eps, pc_near = _boundary_eps(ps[near], i[near]), pc[near]
+        estimate = _family(eps, np.log1p, np.expm1)[1]
+        margin = _tie_margin(eps)
+        below_near = pc_near < estimate * (1.0 - margin)
+        (tie,) = np.nonzero(~below_near & (pc_near < estimate * (1.0 + margin)))
+        if tie.size:
+            below_near[tie] = pc_near[tie] < _family(eps[tie])[1]
+        below[near] = below_near
+    flag[inside] = below
+    return flag.reshape(shape)[()]
 
 
 def combine(a: tuple, b: tuple, weight: float = 0.5) -> tuple[float, float, float]:

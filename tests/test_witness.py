@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -165,6 +166,80 @@ class TestFlags:
         s = stats(p_s, pc)
         assert witness.is_nonclassical(s)
         assert not witness.is_nongaussian(s)
+
+
+class TestNonGaussianDecision:
+    """is_nongaussian is the strict comparison against ng_boundary, bit for bit.
+
+    The P_C offered sit at and around the boundary itself, k * 2^-52 relative
+    off it and one ulp to either side of that, where the table and the
+    numpy-kernel reads of is_nongaussian cannot decide alone.
+    """
+
+    KS = (0, 1, 2, 3, 10, 100, 1e3, 1e6, 1e9)
+
+    @staticmethod
+    def definition(ps, pc):
+        curve = witness.ng_boundary_curve()
+        floor, top = curve.p_single[0], curve.p_single[-1]
+        below = pc < witness.ng_boundary(np.clip(ps, floor, top))
+        return (ps > top) | ((floor < ps) & (ps <= top) & below)
+
+    def test_matches_the_comparison_against_ng_boundary(self):
+        curve = witness.ng_boundary_curve()
+        table, floor, top = curve.p_single, curve.p_single[0], curve.p_single[-1]
+        rng = np.random.default_rng(20161)
+        spread = np.exp(rng.uniform(np.log(floor), np.log(top), 2000))
+        ps = np.concatenate(
+            [spread, table, np.nextafter(table, 0.0), np.nextafter(table, 1.0), [floor, top]]
+        )
+        bound = witness.ng_boundary(np.clip(ps, floor, top))
+        offsets = np.array([s * k * 2.0**-52 for k in self.KS for s in (1.0, -1.0)])
+        pc = bound[:, None] * (1.0 + offsets)
+        pc = np.concatenate([pc, np.nextafter(pc, 0.0), np.nextafter(pc, 1.0)], axis=1)
+        ps = np.broadcast_to(ps[:, None], pc.shape).ravel()
+        pc = pc.ravel()
+        want = self.definition(ps, pc)
+        got = witness.is_nongaussian(stats(ps, pc))
+        assert got.dtype == bool
+        mismatch = np.flatnonzero(got != want)
+        assert mismatch.size == 0, (ps[mismatch[:5]], pc[mismatch[:5]])
+
+    @pytest.mark.parametrize(
+        "ps",
+        [
+            float(witness.ng_boundary_curve().p_single[0]),
+            float(witness.ng_boundary_curve().p_single[-1]),
+            float(witness.ng_boundary_curve().p_single[17]),
+            1e-3,
+            0.6,
+            1e-7,
+        ],
+    )
+    @pytest.mark.parametrize("form", ["float", "0-d", "1-d"])
+    def test_scalar_and_array_forms_keep_their_types(self, ps, form):
+        curve = witness.ng_boundary_curve()
+        bound = witness.ng_boundary(float(np.clip(ps, curve.p_single[0], curve.p_single[-1])))
+        for pc in (bound, np.nextafter(bound, 0.0), 0.5 * bound, 2.0 * bound):
+            pair = {
+                "float": (float(ps), float(pc)),
+                "0-d": (np.array(ps), np.array(pc)),
+                "1-d": (np.array([ps, ps]), np.array([pc, 0.5 * pc])),
+            }[form]
+            # the click statistics as given, and as ClickStats turns them into numpy scalars
+            for clicks in (SimpleNamespace(p_single=pair[0], p_coincidence=pair[1]), stats(*pair)):
+                want = self.definition(clicks.p_single, clicks.p_coincidence)
+                got = witness.is_nongaussian(clicks)
+                assert type(got) is type(want)
+                assert np.array_equal(got, want)
+
+    def test_nan_single_click_is_rejected(self):
+        with pytest.raises(ParameterDomainError):
+            witness.is_nongaussian(SimpleNamespace(p_single=math.nan, p_coincidence=0.0))
+        with pytest.raises(ParameterDomainError):
+            witness.is_nongaussian(
+                SimpleNamespace(p_single=np.array([1e-3, math.nan]), p_coincidence=np.zeros(2))
+            )
 
 
 class TestSimplifiedCriteria:
