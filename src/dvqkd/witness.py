@@ -163,27 +163,35 @@ def _boundary_eps(p_single, i):
     start it by cubic Hermite interpolation; Newton's method on P_S(eps)
     then inverts to full precision on numpy's kernels, taking a bisection
     step whenever a Newton step would leave the bracket.  Each element stops
-    once its own step is below ``_NEWTON_TOL``, so its result does not
-    depend on the others.
+    once its own step is below ``_NEWTON_TOL``, and later steps run on the
+    elements still going alone, so its result does not depend on the others.
     """
     curve = ng_boundary_curve(NG_POINTS)
     lo, hi = curve.eps[i - 1], curve.eps[i]
     width = curve.p_single[i] - curve.p_single[i - 1]
     t = (p_single - curve.p_single[i - 1]) / width
     u, d_lo, d_hi = 1.0 - t, width / curve.slope[i - 1], width / curve.slope[i]
-    eps = u * u * ((1.0 + 2.0 * t) * lo + t * d_lo) + t * t * ((3.0 - 2.0 * t) * hi - u * d_hi)
-    live = True
+    start = u * u * ((1.0 + 2.0 * t) * lo + t * d_lo) + t * t * ((3.0 - 2.0 * t) * hi - u * d_hi)
+    # x, target, lo, hi: eps, P_S and bracket of the elements still going, at
+    # the indices live of eps (None while every element is)
+    x, target, lo, hi = (np.ravel(a) for a in (start, p_single, lo, hi))
+    live = None
     for _ in range(_NEWTON_STEPS):  # P_S grows with eps on the kept branch
-        ps, _, slope = _family(eps, np.log1p, np.expm1)
-        lo = np.where(ps < p_single, eps, lo)
-        hi = np.where(ps > p_single, eps, hi)
-        step = eps - (ps - p_single) / slope
+        ps, _, slope = _family(x, np.log1p, np.expm1)
+        lo = np.where(ps < target, x, lo)
+        hi = np.where(ps > target, x, hi)
+        step = x - (ps - target) / slope
         step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
-        done = np.abs(step - eps) <= _NEWTON_TOL * eps
-        eps = np.where(live, step, eps)
-        live = live & np.logical_not(done)
-        if not np.any(live):
+        going = np.logical_not(np.abs(step - x) <= _NEWTON_TOL * x)
+        if live is None:
+            eps = step
+        else:
+            eps[live] = step
+        if not np.any(going):
             break
+        live = np.flatnonzero(going) if live is None else live[going]
+        x, target, lo, hi = step[going], target[going], lo[going], hi[going]
+    eps = eps.reshape(np.shape(start))
     # eps on a binary grid three to seven times finer than P_C's rounding error: off it,
     # P_C would change its rounding at every last bit of P_S, and the non-Gaussianity
     # test would flicker in mu below P_S ~ 1e-4

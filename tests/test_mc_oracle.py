@@ -1,9 +1,14 @@
 import math
+import sys
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import _reference as ref
+from dvqkd import channel
 from dvqkd import montecarlo as mc
 from dvqkd import noise_before as nb
 from dvqkd import spdc
@@ -365,3 +370,109 @@ class TestFrozenStream:
         out = mc.simulate(self.VARIANTS[variant], mc.McConfig(samples=20_000, seed=2024), target)
         got = [(name, (est.value, est.std_err, est.samples)) for name, est in out.items()]
         assert got == list(self.FROZEN[variant, target].items())
+
+
+VARIANTS = ["thermal-bath", "noise-before/thermal", "noise-before/poisson", "spdc"]
+
+
+class TestWorkerCount:
+    """Estimates and errors do not depend on how many workers sample the blocks."""
+
+    POINT = dict(d=1e-3, mu=0.2, T=0.4, nu=2.0, e=0.05)
+    BAD_NU = spdc.SpdcParams(nu=2 * mc.NU_MAX, T=0.3, mu=0.05)
+
+    @pytest.mark.parametrize("samples", [70_001, 5 * (1 << 16) + 1])
+    @pytest.mark.parametrize("target", [mc.KEY, mc.AUTOCORR])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_same_estimates(self, monkeypatch, variant, target, samples):
+        params = TestEveryDrawReference._params(variant, **self.POINT)
+        config = mc.McConfig(samples=samples, seed=4)
+        expected = ref.simulate_every_draw(params, config, target)
+        for workers in (1, 2, 5):
+            monkeypatch.setattr(mc, "_worker_count", lambda workers=workers: workers)
+            assert mc.simulate(params, config, target) == expected, workers
+
+    def test_same_error(self, monkeypatch):
+        config = mc.McConfig(samples=5 * (1 << 16) + 1, seed=1)
+        messages = []
+        for workers in (1, 2, 5):
+            monkeypatch.setattr(mc, "_worker_count", lambda workers=workers: workers)
+            with pytest.raises(ParameterDomainError) as raised:
+                mc.simulate(self.BAD_NU, config, mc.AUTOCORR)
+            messages.append(str(raised.value))
+        assert messages == [messages[0]] * 3
+        assert "nu" in messages[0]
+
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    def test_lowest_failing_block_wins(self, monkeypatch, workers):
+        monkeypatch.setattr(mc, "_worker_count", lambda: workers)
+
+        def run(i):
+            if i == 2:
+                time.sleep(0.05)  # on two workers or more, block 4 fails first
+            if i in (2, 4):
+                raise ValueError(f"block {i}")
+            return i
+
+        with pytest.raises(ValueError, match="block 2"):
+            mc._map_blocks(run, 6)
+        assert mc._map_blocks(lambda i: i, 6) == list(range(6))
+
+    def test_every_block_runs_once_under_fast_switching(self, monkeypatch):
+        monkeypatch.setattr(mc, "_worker_count", lambda: 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                ran = []
+                assert mc._map_blocks(lambda i: ran.append(i) or i, 200) == list(range(200))
+                assert sorted(ran) == list(range(200))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers", [2, 5])
+    def test_threads_joined(self, monkeypatch, workers):
+        monkeypatch.setattr(mc, "_worker_count", lambda: workers)
+        before = threading.active_count()
+        params = TestEveryDrawReference._params("thermal-bath", **self.POINT)
+        mc.simulate(params, mc.McConfig(samples=5 * (1 << 16) + 1, seed=1), mc.KEY)
+        assert threading.active_count() == before
+        with pytest.raises(ParameterDomainError):
+            mc.simulate(self.BAD_NU, mc.McConfig(samples=5 * (1 << 16) + 1, seed=1), mc.KEY)
+        assert threading.active_count() == before
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert mc._worker_count() == 1
+        monkeypatch.setattr(mc, "threading", None)  # a thread or a lock would raise
+        params = TestEveryDrawReference._params("spdc", **self.POINT)
+        config = mc.McConfig(samples=70_001, seed=4)
+        assert mc.simulate(params, config, mc.AUTOCORR) == ref.simulate_every_draw(
+            params, config, mc.AUTOCORR
+        )
+
+
+class TestBlockWorkingSet:
+    """One block's peak allocation stays below 2.25 MiB for every variant and geometry.
+
+    Each worker in flight holds one block's arrays, so this bounds what sampling
+    blocks at once adds to peak memory.  Before the blocks freed their arrays as
+    soon as no count needed them, the peak ran from 2.19 to 3.55 MiB (spdc autocorr).
+    """
+
+    LIMIT = 2.25 * 2**20
+
+    @pytest.mark.parametrize("target", [mc.KEY, mc.AUTOCORR])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_peak_allocation(self, variant, target):
+        params = TestEveryDrawReference._params(variant, d=1e-3, mu=0.3, T=0.5, nu=0.3, e=0.05)
+        signal, block = mc._BLOCKS[channel.model(params).name]
+        block(np.random.default_rng([0, 0]), params, mc._BLOCK, target, signal)  # fills the caches
+        rng = np.random.default_rng([0, 1])
+        tracemalloc.start()
+        try:
+            block(rng, params, mc._BLOCK, target, signal)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.LIMIT, peak / 2**20
