@@ -25,7 +25,19 @@ _NEG_CLAMP = -1e-12
 _EPS_FLOOR = 1e-6  # smallest 1-V in the curve grid; P_S reaches ~5e-7
 _NEWTON_STEPS = 8  # at most; from the table's Hermite start one step nearly always converges
 _NEWTON_TOL = 1e-8  # a Newton step this small leaves eps within ~1e-16
-NG_POINTS = 512  # grid points of the boundary table every witness query brackets in
+NG_POINTS = 512  # grid points of the boundary table; above the series cut it brackets each query
+_SERIES_CUT = 0.04  # largest P_S read from the series; eps = 1 - V is ~0.072 there
+# c_3 ... c_30 of P_C = P_S^3 (c_3 + c_4 P_S + ...) on the boundary: the family's Taylor
+# series in eps, reverted to one in P_S at 60 digits (alternating, radius about 0.14)
+_SERIES = (
+    0.5, -1.1041666666666667, 5.34375, -24.034027777777776,
+    123.49791666666667, -663.489505828373, 3738.3333214492395, -21778.98989831349,
+    130449.25085849661, -799116.9039613198, 4988274.030809034, -31637628.02186024,
+    203417773.7404116, -1323478302.5828888, 8700554873.215836, -57723292839.96587,
+    386090279957.26135, -2601292532189.084, 17641541167475.645, -120353928076230.86,
+    825518224589118.9, -5690263396732306.0, 3.940028919315884e+16, -2.7394988884408627e+17,
+    1.9120925788478943e+18, -1.3393359821724223e+19, 9.41245556519099e+19, -6.635145325248747e+20,
+)
 
 
 def _within(value, lo, hi) -> bool:
@@ -80,11 +92,9 @@ def n_of_v(eps):
 
 
 def _libm(fn):
-    # libm element by element wherever P_C decides (the table, ng_boundary's final read,
-    # is_nongaussian's ties): numpy's vector kernels round the last bit differently on
-    # some CPUs, and P_C's cancellation at small eps would show that bit.  P_S does not
-    # cancel (<= 3e-16), so the Newton loop on P_S runs on numpy's kernels, and so does
-    # is_nongaussian's first P_C read, which only decides outside a margin
+    # libm element by element for the ng-curve table: numpy's vector kernels round the
+    # last bit differently on some CPUs, and the table's P_C, which cancels at small
+    # eps, would show that bit
     def elementwise(x):
         x = np.asarray(x)
         return np.fromiter(map(fn, x.ravel().tolist()), float, count=x.size).reshape(x.shape)
@@ -92,10 +102,7 @@ def _libm(fn):
     return elementwise
 
 
-_log1p, _expm1 = _libm(math.log1p), _libm(math.expm1)
-
-
-def _family(eps, log1p=_log1p, expm1=_expm1):
+def _family(eps, log1p=np.log1p, expm1=np.expm1):
     """Cancellation-safe (P_S, P_C, dP_S/deps) of the Gaussian family member at eps = 1 - V.
 
     The defining pair fixes the two no-click probabilities R1 (one detector
@@ -104,7 +111,7 @@ def _family(eps, log1p=_log1p, expm1=_expm1):
     D = 1 - R = -expm1(a) are computed directly from log/expm1 forms: the
     absolute error then scales with D rather than with 1.  P_C still cancels
     to a relative error of about 1.6e-15 / eps^2.  eps may be an array;
-    ``log1p`` and ``expm1`` are libm's, element by element, unless given.
+    ``log1p`` and ``expm1`` are numpy's unless given.
     """
     v = 1.0 - eps
     n = n_of_v(eps)
@@ -140,7 +147,7 @@ def ng_boundary_curve(num_points: int = NG_POINTS) -> NgCurve:
         raise ParameterDomainError(f"num_points must be >= 16, got {num_points}")
     # warped grid accumulating near V = 1, where the curve compresses to the origin
     eps_grid = np.geomspace(_EPS_FLOOR, 0.75, num_points)
-    ps, pc, slope = _family(eps_grid)
+    ps, pc, slope = _family(eps_grid, _libm(math.log1p), _libm(math.expm1))
     valid = (ps > 0.0) & (pc > 0.0) & (pc < 1.0)
     eps_grid, ps, pc, slope = eps_grid[valid], ps[valid], pc[valid], slope[valid]
     # keep the monotone lower branch, P_S rising from the V -> 1 end up to its turning
@@ -157,27 +164,27 @@ def ng_boundary_curve(num_points: int = NG_POINTS) -> NgCurve:
 
 
 def _boundary_eps(p_single, i):
-    """The family parameter eps = 1 - V at which the boundary reads P_C for P_S in the span.
+    """The family parameter eps = 1 - V at which the boundary reads P_C, for P_S in the span.
 
     The rows i - 1 and i of the precomputed boundary curve bracket eps and
     start it by cubic Hermite interpolation; Newton's method on P_S(eps)
-    then inverts to full precision on numpy's kernels, taking a bisection
-    step whenever a Newton step would leave the bracket.  Each element stops
-    once its own step is below ``_NEWTON_TOL``, and later steps run on the
-    elements still going alone, so its result does not depend on the others.
+    then inverts to full precision, taking a bisection step whenever a
+    Newton step would leave the bracket.  Each element stops once its own
+    step is below ``_NEWTON_TOL``, and later steps run on the elements still
+    going alone, so its result does not depend on the others.  p_single and
+    i are 1-d.
     """
     curve = ng_boundary_curve(NG_POINTS)
     lo, hi = curve.eps[i - 1], curve.eps[i]
     width = curve.p_single[i] - curve.p_single[i - 1]
     t = (p_single - curve.p_single[i - 1]) / width
     u, d_lo, d_hi = 1.0 - t, width / curve.slope[i - 1], width / curve.slope[i]
-    start = u * u * ((1.0 + 2.0 * t) * lo + t * d_lo) + t * t * ((3.0 - 2.0 * t) * hi - u * d_hi)
+    x = u * u * ((1.0 + 2.0 * t) * lo + t * d_lo) + t * t * ((3.0 - 2.0 * t) * hi - u * d_hi)
     # x, target, lo, hi: eps, P_S and bracket of the elements still going, at
     # the indices live of eps (None while every element is)
-    x, target, lo, hi = (np.ravel(a) for a in (start, p_single, lo, hi))
-    live = None
+    target, live = p_single, None
     for _ in range(_NEWTON_STEPS):  # P_S grows with eps on the kept branch
-        ps, _, slope = _family(x, np.log1p, np.expm1)
+        ps, _, slope = _family(x)
         lo = np.where(ps < target, x, lo)
         hi = np.where(ps > target, x, hi)
         step = x - (ps - target) / slope
@@ -191,51 +198,46 @@ def _boundary_eps(p_single, i):
             break
         live = np.flatnonzero(going) if live is None else live[going]
         x, target, lo, hi = step[going], target[going], lo[going], hi[going]
-    eps = eps.reshape(np.shape(start))
-    # eps on a binary grid three to seven times finer than P_C's rounding error: off it,
-    # P_C would change its rounding at every last bit of P_S, and the non-Gaussianity
-    # test would flicker in mu below P_S ~ 1e-4
-    mantissa, exponent = np.frexp(eps)
-    bits = 2 * exponent + 51
-    return np.ldexp(np.round(np.ldexp(mantissa, bits)), exponent - bits)
+    return eps
+
+
+def _boundary(p_single):
+    """ng_boundary without its checks, for P_S in [0, top] (a float or an array).
+
+    Up to ``_SERIES_CUT`` the series in P_S, by Horner's rule (multiply and
+    add only, so the bits do not depend on the CPU); above it
+    ``_boundary_eps`` and the family's P_C, whose cancellation stays below
+    about 5e-13 relative there.
+    """
+    ps = np.asarray(p_single, dtype=float)
+    flat = ps.ravel()
+    acc = np.full_like(flat, _SERIES[-1])
+    for c in _SERIES[-2::-1]:
+        acc *= flat
+        acc += c
+    pc = flat * flat * flat * acc
+    (high,) = np.nonzero(flat > _SERIES_CUT)
+    if high.size:
+        curve = ng_boundary_curve(NG_POINTS)
+        x = flat[high]
+        i = np.clip(np.searchsorted(curve.p_single, x), 1, curve.eps.size - 1)
+        pc[high] = _family(_boundary_eps(x, i))[1]
+    return pc.reshape(ps.shape)[()]
 
 
 def ng_boundary(p_single):
     """Maximal Gaussian-mixture coincidence deficit at the given P_S (a float or an array).
 
-    ``_boundary_eps`` inverts the family's P_S to eps = 1 - V, rounded to
-    the precision P_C holds, and P_C is read there on libm.
+    Defined from P_S = 0 up to the largest P_S of the family's kept branch.
     """
-    curve = ng_boundary_curve(NG_POINTS)
-    floor, top = curve.p_single[0], curve.p_single[-1]
+    top = ng_boundary_curve(NG_POINTS).p_single[-1]
     if not _within(p_single, 0.0, 1.0):
         raise ParameterDomainError(f"p_single must be in [0, 1], got {p_single}")
-    if not _within(p_single, floor, top):
+    if not _within(p_single, 0.0, top):
         raise BoundaryDomainError(
-            f"p_single={p_single} outside the tabulated boundary span [{floor:g}, {top:g}]"
+            f"p_single={p_single} above the Gaussian family's largest P_S {top:g}"
         )
-    i = np.clip(np.searchsorted(curve.p_single, p_single), 1, curve.eps.size - 1)
-    return _family(_boundary_eps(p_single, i))[1][()]
-
-
-def _tie_margin(eps):
-    """Relative distance from a boundary estimate within which only a libm read decides.
-
-    In units of 2^-52 / eps^2: P_C cancels to about 1.6e-15 / eps^2, 7.2
-    units, per ulp of difference in the log1p/expm1 values it is read from,
-    and rounding eps to its grid moves P_C ~ eps^3 by at most 3 units.  The
-    margin is 64 units, plus 1e-13 for the Newton residual and the O(1) terms
-    at large eps:
-
-    - against the table bracket, at the bracket's smaller eps: the table's
-      libm read, the boundary's libm read and its eps rounding need about
-      7.2 + 7.2 + 3 units; the boundary left its bracket by at most 28, at
-      the table's own P_S (300,000 log-uniform P_S and every table point);
-    - against a read on numpy's kernels: room for about 9 ulps of kernel
-      difference from libm, summed over the five reads.  numpy's AVX-512
-      kernels are within 1 ulp of libm, and moved P_C by at most 23 units.
-    """
-    return 64.0 * 2.0**-52 / (eps * eps) + 1e-13
+    return _boundary(p_single)
 
 
 def is_nonclassical(stats: ClickStats):
@@ -254,44 +256,14 @@ def is_nongaussian(stats: ClickStats):
     """True when no Gaussian mixture reproduces the click statistics.
 
     Above the largest single-click probability attainable by the Gaussian
-    family the achievable region is empty and every state is flagged; at or
-    below the tabulated floor the light is indistinguishable from vacuum and
-    never flagged; in between the strict comparison P_C < ng_boundary(P_S)
-    decides.  The result is that comparison's bit for bit, but the costly
-    reads run only where they can change it:
-
-    1. the table: P_C below its bracket's lower table value, or at or above
-       the upper one, each widened by ``_tie_margin``, decides alone;
-    2. the rest take ``_boundary_eps`` and a P_C read on numpy's kernels,
-       which decides outside the same margin around it;
-    3. the ties left read P_C on libm, one value at a time, as ng_boundary.
+    family the achievable region is empty and every state is flagged; below
+    it the strict comparison P_C < ng_boundary(P_S) decides, elementwise.
     """
-    curve = ng_boundary_curve(NG_POINTS)
-    floor, top = curve.p_single[0], curve.p_single[-1]
-    if not _within(stats.p_single, -np.inf, np.inf):  # NaN, which ng_boundary rejects
-        raise ParameterDomainError(
-            f"p_single must be in [0, 1], got {np.clip(stats.p_single, floor, top)}"
-        )
-    ps, pc = np.broadcast_arrays(stats.p_single, stats.p_coincidence)
-    shape, ps, pc = ps.shape, ps.ravel(), pc.ravel()
-    flag = ps > top
-    (inside,) = np.nonzero((floor < ps) & (ps <= top))
-    ps, pc = ps[inside], pc[inside]
-    i = np.searchsorted(curve.p_single, ps)  # 1 <= i < size: floor < ps <= top
-    margin = _tie_margin(curve.eps[i - 1])
-    below = pc < curve.p_coincidence[i - 1] * (1.0 - margin)
-    (near,) = np.nonzero(~below & (pc < curve.p_coincidence[i] * (1.0 + margin)))
-    if near.size:
-        eps, pc_near = _boundary_eps(ps[near], i[near]), pc[near]
-        estimate = _family(eps, np.log1p, np.expm1)[1]
-        margin = _tie_margin(eps)
-        below_near = pc_near < estimate * (1.0 - margin)
-        (tie,) = np.nonzero(~below_near & (pc_near < estimate * (1.0 + margin)))
-        if tie.size:
-            below_near[tie] = pc_near[tie] < _family(eps[tie])[1]
-        below[near] = below_near
-    flag[inside] = below
-    return flag.reshape(shape)[()]
+    ps = stats.p_single
+    if not _within(ps, -np.inf, np.inf):  # NaN, which ng_boundary rejects
+        raise ParameterDomainError(f"p_single must be in [0, 1], got {ps}")
+    top = ng_boundary_curve(NG_POINTS).p_single[-1]
+    return (ps > top) | (stats.p_coincidence < _boundary(np.clip(ps, 0.0, top)))
 
 
 def combine(a: tuple, b: tuple, weight: float = 0.5) -> tuple[float, float, float]:

@@ -19,6 +19,12 @@ class TestMuMaxNumeric:
         got = boundary.mu_max_numeric(tb_params(T=1e-2), boundary.NONGAUSSIAN)
         assert got == pytest.approx(5e-5, rel=0.15)
 
+    @pytest.mark.parametrize("T", [1e-7, 5e-7])
+    def test_nongaussian_at_very_weak_light(self, T):
+        # P_S ~ T here, far below 1e-6: the boundary has no floor, so mu_max exists
+        got = boundary.mu_max_numeric(tb_params(T=T), boundary.NONGAUSSIAN)
+        assert got == pytest.approx(T * T / 2, rel=1e-5)
+
     def test_nonclassical_noise_before_saturates_at_emission_probability(self):
         pr = noise_before.NoiseBeforeParams(p=0.5, T=1e-3, mu=0.0)
         got = boundary.mu_max_numeric(pr, boundary.NONCLASSICAL)
@@ -378,20 +384,29 @@ class TestBisectionLevels:
         calls = self._counting(monkeypatch)
         for params, grid in self._configs(variant, criterion, 10):
             calls.clear()
-            boundary.sweep(params, criterion, grid)
-            assert len(calls) <= 12, params
+            points = boundary.sweep(params, criterion, grid).points
+            taken = len(calls)
+            if not any(pt.feasible and pt.mu_max < boundary.MU_SEED for pt in points):
+                assert taken <= 12, params
+                continue
+            # boundaries below the ladder's first rung, down to ~1e-25, bisect from
+            # [0, MU_SEED]: at most a fifth of the calls the one-level search makes
+            calls.clear()
+            ref.search_mu_max_doubling(boundary.criterion_predicate(params, criterion), grid)
+            assert 5 * taken <= len(calls), params
 
 
 class TestFrozenNonGaussianSweeps:
     """Seeded 60-point non-Gaussian sweeps reproduce their recorded mu_max bit for bit.
 
-    ng_boundary's Newton steps run on numpy's kernels, which the one-level
-    reference search cannot check because it calls the same witness.  These
-    values were recorded at the commit before several bisection levels per
-    call, whose Newton steps ran on libm.
+    The one-level reference search cannot check the witness, since it calls
+    the same one.  Above P_S = 0.04 the boundary's P_C is read on numpy's
+    kernels, which these pin across CPUs.  Every recorded point brackets the
+    edge of the strict comparison against a 60-digit mpmath boundary within
+    4e-6 relative, including the weak-light points down to P_S ~ 1e-12.
     """
 
-    # seeded draws where reading P_C with numpy's kernels would change a point
+    # seeded draws whose points once moved with the last bit of the boundary's P_C
     SWEEPS = {
         "thermal-bath/0": (
             thermal_bath.ThermalBathParams(
@@ -423,10 +438,10 @@ class TestFrozenNonGaussianSweeps:
     # sweep -> mu_max per grid point, in grid order
     FROZEN = {
         "thermal-bath/0": [
-            1.0773886108398437e-10, 1.5191888427734376e-10, 2.1421612548828122e-10,
+            1.0773898315429686e-10, 1.5191912841796875e-10, 2.1421636962890622e-10,
             3.020596923828125e-10, 4.2592565917968747e-10, 6.00585693359375e-10,
-            8.46870361328125e-10, 1.19415283203125e-09, 1.6838500976562503e-09,
-            2.3743681640625e-09, 3.3480654296874996e-09, 4.721076171875e-09,
+            8.46870849609375e-10, 1.19415283203125e-09, 1.6838500976562503e-09,
+            2.3743681640625e-09, 3.3480634765625e-09, 4.721076171875e-09,
             6.657177734374999e-09, 9.387308593750001e-09, 1.3237160156250003e-08,
             1.86659921875e-08, 2.6321539062500005e-08, 3.7117203125e-08,
             5.234123437500001e-08, 7.381059375e-08, 1.0408790625000002e-07,
@@ -444,45 +459,56 @@ class TestFrozenNonGaussianSweeps:
             0.016237244416000003, 0.024411086848000002, 0.037355274239999986,
             0.058555940864000004, 0.094942625792, 0.161772273664,
         ],
-        "thermal-bath/1": [0.0] * 19 + [
-            1.8071216344833378e-13, 3.201044797897339e-13, 5.670897960662842e-13,
-            1.0049405097961427e-12, 1.779853343963623e-12, 3.153563499450684e-12,
-            5.586648941040039e-12, 9.897762298583986e-12, 1.7534675598144538e-11,
-            3.1064865112304675e-11, 5.5036727905273444e-11, 9.750662231445313e-11,
-            1.727510375976563e-10, 3.060657958984375e-10, 5.422707519531249e-10,
-            9.607893066406251e-10, 1.7023715820312501e-09, 3.0164736328125004e-09,
-            5.345267578125e-09, 9.472683593750002e-09, 1.67888515625e-08,
-            2.9759648437500002e-08, 5.276107812500001e-08, 9.356309375e-08,
-            1.659724375e-07, 2.9454662500000004e-07, 5.230247499999999e-07,
-            9.2944725e-07, 1.6533885000000003e-06, 2.9452789999999996e-06,
-            5.256386000000001e-06, 9.404636e-06, 1.6884312000000003e-05,
-            3.0455016000000003e-05, 5.5289744e-05, 0.00010128988800000001,
-            0.00018797600000000002, 0.000355520896, 0.0006920880640000001,
-            0.001411693056, 0.00313048576,
+        "thermal-bath/1": [
+            3.450605618127156e-18, 6.1131449911044915e-18, 1.0830142855411396e-17,
+            1.9186853023711594e-17, 3.399171691853553e-17, 6.022027810104192e-17,
+            1.0668710456229748e-16, 1.890085986815393e-16, 3.348506288602949e-16,
+            5.932261701673271e-16, 1.0509691201150415e-15, 1.861913595348596e-15,
+            3.2985946163535123e-15, 5.843842402100563e-15, 1.0353047400712968e-14,
+            1.8341623246669767e-14, 3.249432146549225e-14, 5.756749212741852e-14,
+            1.0198757052421569e-13, 1.806829571723938e-13, 3.2010138034820557e-13,
+            5.670979022979737e-13, 1.0046820640563966e-12, 1.7799181938171385e-12,
+            3.1533479690551763e-12, 5.58656120300293e-12, 9.897335052490234e-12,
+            1.753450775146485e-11, 3.106495666503906e-11, 5.503645324707032e-11,
+            9.750650024414063e-11, 1.7275115966796877e-10, 3.0606555175781255e-10,
+            5.422707519531249e-10, 9.607893066406251e-10, 1.7023715820312501e-09,
+            3.0164736328125004e-09, 5.345267578125e-09, 9.472683593750002e-09,
+            1.67888515625e-08, 2.9759648437500002e-08, 5.276107812500001e-08,
+            9.356309375e-08, 1.659724375e-07, 2.9454662500000004e-07,
+            5.230247499999999e-07, 9.2944725e-07, 1.6533885000000003e-06,
+            2.9452789999999996e-06, 5.256386000000001e-06, 9.404636e-06,
+            1.6884312000000003e-05, 3.0455016000000003e-05, 5.5289744e-05,
+            0.00010128988800000001, 0.00018797600000000002, 0.000355520896,
+            0.0006920880640000001, 0.001411693056, 0.00313048576,
         ],
-        "noise-before/thermal": [0.0] * 16 + [
-            4.3306387499999996e-07, 5.892657500000001e-07, 8.0206875e-07,
-            1.0914915000000001e-06, 1.4851355e-06, 2.021701e-06,
-            2.7512909999999998e-06, 3.744421e-06, 5.09605e-06,
-            6.935605999999999e-06, 9.439156e-06, 1.2846372e-05,
-            1.7483496000000005e-05, 2.3794504e-05, 3.238353599999999e-05,
-            4.407288e-05, 5.998161599999999e-05, 8.163267200000002e-05,
-            0.00011109871999999998, 0.00015120032000000007, 0.00020577580800000002,
-            0.000280048512, 0.00038112652800000003, 0.0005186808319999998,
-            0.0007058711040000001, 0.0009605982719999998, 0.0013072143360000005,
-            0.001778840064, 0.002420509696, 0.0032934410239999993,
-            0.00448082944, 0.006095685631999999, 0.00829147136,
-            0.011276521472000003, 0.015333691391999998, 0.020847370240000006,
-            0.028341280767999997, 0.038533185536000006, 0.052418428928,
-            0.071408123904, 0.09758195711999999, 0.13420756992,
-            0.186957365248, 0.26723339468799995,
+        "noise-before/thermal": [
+            3.1251201171874997e-09, 4.253197265625001e-09, 5.788474609375e-09,
+            7.877941406249999e-09, 1.0721652343750001e-08, 1.4591847656249999e-08,
+            1.985907031250001e-08, 2.7027617187500003e-08, 3.6783796875000005e-08,
+            5.0061671875e-08, 6.813246875e-08, 9.272621875e-08,
+            1.2619768749999998e-07, 1.7175131249999998e-07, 2.3374843749999998e-07,
+            3.181248750000001e-07, 4.3295837499999996e-07, 5.892437500000001e-07,
+            8.019432500000001e-07, 1.0914205e-06, 1.4853914999999999e-06,
+            2.0215730000000006e-06, 2.7513010000000005e-06, 3.7444389999999993e-06,
+            5.09607e-06, 6.935598e-06, 9.439140000000002e-06,
+            1.2846372e-05, 1.7483512000000002e-05, 2.3794504e-05,
+            3.238353599999999e-05, 4.407288e-05, 5.998161599999999e-05,
+            8.163267200000002e-05, 0.00011109871999999998, 0.00015120019200000003,
+            0.00020577580800000002, 0.000280048512, 0.00038112652800000003,
+            0.0005186808319999998, 0.0007058711040000001, 0.0009605982719999998,
+            0.0013072143360000005, 0.001778840064, 0.002420509696,
+            0.0032934410239999993, 0.00448082944, 0.006095685631999999,
+            0.00829147136, 0.011276521472000003, 0.015333691391999998,
+            0.020847370240000006, 0.028341280767999997, 0.038533185536000006,
+            0.052418428928, 0.071408123904, 0.09758195711999999,
+            0.13420756992, 0.186957365248, 0.26723339468799995,
         ],
         "noise-before/poisson": [
-            3.59510375e-07, 4.26324125e-07, 5.055522500000001e-07,
-            5.9950075e-07, 7.1093775e-07, 8.430507500000001e-07,
-            9.9974325e-07, 1.1855395e-06, 1.4058694999999999e-06,
-            1.6671485000000003e-06, 1.9769894999999995e-06, 2.3444030000000002e-06,
-            2.7801070000000007e-06, 3.2967890000000003e-06, 3.909484999999999e-06,
+            3.5951362500000004e-07, 4.26328125e-07, 5.0555975e-07,
+            5.9951675e-07, 7.1093525e-07, 8.430607500000001e-07,
+            9.997417499999998e-07, 1.1855415000000001e-06, 1.4058715e-06,
+            1.6671495e-06, 1.9769854999999994e-06, 2.3444030000000002e-06,
+            2.7801070000000007e-06, 3.296785e-06, 3.9094889999999995e-06,
             4.636062000000002e-06, 5.4976699999999995e-06, 6.51941e-06,
             7.731046e-06, 9.167868e-06, 1.0871732e-05,
             1.2892267999999998e-05, 1.5288340000000003e-05, 1.8129752e-05,

@@ -127,8 +127,10 @@ class TestNgCurve:
     def test_out_of_span(self):
         with pytest.raises(BoundaryDomainError):
             witness.ng_boundary(0.99)
-        with pytest.raises(BoundaryDomainError):
-            witness.ng_boundary(1e-12)
+        # no floor below: P_C = P_S^3 (1/2 - 1.1041667 P_S + ...) down to P_S = 0
+        want = 5e-37 * (1.0 - 2.2083333e-12)
+        assert abs(witness.ng_boundary(1e-12) - want) <= 1e-15 * want
+        assert witness.ng_boundary(0.0) == 0.0
 
 
 class TestFlags:
@@ -172,28 +174,28 @@ class TestNonGaussianDecision:
     """is_nongaussian is the strict comparison against ng_boundary, bit for bit.
 
     The P_C offered sit at and around the boundary itself, k * 2^-52 relative
-    off it and one ulp to either side of that, where the table and the
-    numpy-kernel reads of is_nongaussian cannot decide alone.
+    off it and one ulp to either side of that, on both sides of the series cut
+    and of the table rows that bracket the Newton inversion above it.
     """
 
     KS = (0, 1, 2, 3, 10, 100, 1e3, 1e6, 1e9)
 
     @staticmethod
     def definition(ps, pc):
-        curve = witness.ng_boundary_curve()
-        floor, top = curve.p_single[0], curve.p_single[-1]
-        below = pc < witness.ng_boundary(np.clip(ps, floor, top))
-        return (ps > top) | ((floor < ps) & (ps <= top) & below)
+        top = witness.ng_boundary_curve().p_single[-1]
+        return (ps > top) | (pc < witness.ng_boundary(np.clip(ps, 0.0, top)))
 
     def test_matches_the_comparison_against_ng_boundary(self):
         curve = witness.ng_boundary_curve()
-        table, floor, top = curve.p_single, curve.p_single[0], curve.p_single[-1]
+        table, top, cut = curve.p_single, curve.p_single[-1], witness._SERIES_CUT
         rng = np.random.default_rng(20161)
-        spread = np.exp(rng.uniform(np.log(floor), np.log(top), 2000))
+        spread = np.exp(rng.uniform(np.log(1e-15), np.log(top), 2000))
+        edges = np.array([0.0, 1e-15, cut, top])
         ps = np.concatenate(
-            [spread, table, np.nextafter(table, 0.0), np.nextafter(table, 1.0), [floor, top]]
+            [spread, table, np.nextafter(table, 0.0), np.nextafter(table, 1.0)]
+            + [edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)]
         )
-        bound = witness.ng_boundary(np.clip(ps, floor, top))
+        bound = witness.ng_boundary(np.clip(ps, 0.0, top))
         offsets = np.array([s * k * 2.0**-52 for k in self.KS for s in (1.0, -1.0)])
         pc = bound[:, None] * (1.0 + offsets)
         pc = np.concatenate([pc, np.nextafter(pc, 0.0), np.nextafter(pc, 1.0)], axis=1)
@@ -214,12 +216,13 @@ class TestNonGaussianDecision:
             1e-3,
             0.6,
             1e-7,
+            witness._SERIES_CUT,
         ],
     )
     @pytest.mark.parametrize("form", ["float", "0-d", "1-d"])
     def test_scalar_and_array_forms_keep_their_types(self, ps, form):
         curve = witness.ng_boundary_curve()
-        bound = witness.ng_boundary(float(np.clip(ps, curve.p_single[0], curve.p_single[-1])))
+        bound = witness.ng_boundary(float(np.clip(ps, 0.0, curve.p_single[-1])))
         for pc in (bound, np.nextafter(bound, 0.0), 0.5 * bound, 2.0 * bound):
             pair = {
                 "float": (float(ps), float(pc)),
@@ -294,40 +297,76 @@ _CURVE = witness.ng_boundary_curve()
 _LAST_EPS, _LAST_PS = float(_CURVE.eps[-1]), float(_CURVE.p_single[-1])
 
 
+def _mp_family(eps):
+    """(P_S, P_C) of the Gaussian family at eps = 1 - V, straight from its defining pair
+    (no cancellation-safe rewriting needed at mpmath's working precision)."""
+    v = 1 - eps
+    n = (1 - v * v) * (v + 3) / (v * (3 * v + 1))
+    r2 = 2 * sqrt(v) / (v + 1) * exp(-n / (2 + 2 * v))
+    r1 = 4 * sqrt(v) / sqrt((3 * v + 1) * (3 + v)) * exp(-n / (6 + 2 * v))
+    return 2 * (r1 - r2), 1 - 2 * r1 + r2
+
+
 def _ng_boundary_reference(p_s: float):
-    """P_C of the Gaussian family at the given P_S, by a 60-digit inversion of the
-    family's defining pair (no cancellation-safe rewriting needed at that precision)."""
-
-    def family(eps):
-        v = 1 - eps
-        n = (1 - v * v) * (v + 3) / (v * (3 * v + 1))
-        r2 = 2 * sqrt(v) / (v + 1) * exp(-n / (2 + 2 * v))
-        r1 = 4 * sqrt(v) / sqrt((3 * v + 1) * (3 + v)) * exp(-n / (6 + 2 * v))
-        return 2 * (r1 - r2), 1 - 2 * r1 + r2
-
+    """P_C of the Gaussian family at the given P_S, by a 60-digit inversion of its P_S."""
     with mp.workdps(60):
         target, lo, hi = mpf(p_s), mpf(0), mpf(_LAST_EPS)
         for _ in range(80):  # P_S rises with eps on the kept branch
             mid = (lo + hi) / 2
-            lo, hi = (mid, hi) if family(mid)[0] < target else (lo, mid)
-        eps = findroot(lambda x: family(x)[0] - target, (lo, hi), solver="secant")
-        return family(eps)[1]
+            lo, hi = (mid, hi) if _mp_family(mid)[0] < target else (lo, mid)
+        eps = findroot(lambda x: _mp_family(x)[0] - target, (lo, hi), solver="secant")
+        return _mp_family(eps)[1]
+
+
+_CUT = witness._SERIES_CUT
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.floats(min_value=-3.0, max_value=math.log10(_LAST_PS)).map(
+    st.floats(min_value=-15.0, max_value=math.log10(_LAST_PS)).map(
         lambda k: min(10.0**k, _LAST_PS)
     )
 )
+@example(1e-15)
+@example(5.000007500005834e-07)  # the first P_S of the ng-curve table
 @example(1e-3)
 @example(1e-2)
+@example(_CUT)
+@example(float(np.nextafter(_CUT, 1.0)))
 @example(0.1)
 @example(_LAST_PS)
 def test_ng_boundary_against_mpmath(p_s):
-    # below P_S = 1e-3 the family's own P_C cancellation dominates the error
+    # the series up to the cut; above it the family's P_C, which cancels to at most ~5e-13
     want = _ng_boundary_reference(p_s)
-    assert abs(witness.ng_boundary(p_s) - want) <= 1e-9 * want
+    tol = 1e-15 if p_s <= _CUT else 1e-12
+    assert abs(witness.ng_boundary(p_s) - want) <= tol * want
+
+
+def test_series_is_the_reverted_family():
+    # P_S(eps) and P_C(eps) to order 30 at 60 digits; eps(P_S) by Lagrange inversion,
+    # [P_S^n] eps = [w^(n-1)] (w / P_S(w))^n / n; the boundary is P_C(eps(P_S))
+    order = 30
+
+    def times(a, b):  # product of two series, truncated after the given order
+        return [sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(order + 1)]
+
+    with mp.workdps(60):
+        ps = mp.taylor(lambda e: _mp_family(e)[0], 0, order + 1)
+        pc = mp.taylor(lambda e: _mp_family(e)[1], 0, order)
+        # h = w / P_S(w), from P_S(w) / w = ps[1] + ps[2] w + ...
+        h = [1 / ps[1]]
+        for k in range(1, order + 1):
+            h.append(-sum(ps[j + 1] * h[k - j] for j in range(1, k + 1)) / ps[1])
+        eps, power = [mpf(0)], [mpf(1)] + [mpf(0)] * order
+        for n in range(1, order + 1):
+            power = times(power, h)
+            eps.append(power[n - 1] / n)
+        boundary, power = [mpf(0)] * (order + 1), [mpf(1)] + [mpf(0)] * order
+        for j in range(1, order + 1):
+            power = times(power, eps)
+            boundary = [b + pc[j] * x for b, x in zip(boundary, power)]
+    assert max(abs(c) for c in boundary[:3]) < 1e-50
+    assert tuple(float(c) for c in boundary[3:]) == witness._SERIES
 
 
 def test_boundaries_agree_with_direct_equation_solve():
