@@ -5,14 +5,16 @@ The numeric solver treats each criterion (positive secret fraction,
 nonclassicality, non-Gaussianity) as a predicate on the noise mean mu and
 locates the largest mu at which it still holds.  The search assumes every
 predicate is monotone in mu (noise only hurts): it brackets the edge on the
-doubling ladder MU_SEED * 2^j (capped at the ceiling) and bisects it once, on
-all transmittances of a sweep at once, so ``mu_max_numeric`` is the same
-search on one transmittance.  Each predicate call tests several rungs of
-every point still climbing; a point's bracket ends at its first failing
-rung, where a doubling one rung per call would stop too.  The bisection,
-and ``t_min_numeric``'s on one point, likewise test several levels of every
-live bracket per call (``roots.bisect_predicate``), and each bracket ends
-where a bisection of one level per call would end it.
+ladder of mu = 0 and the doublings MU_SEED * 2^j (capped at the ceiling) and
+bisects it once, on all transmittances of a sweep at once, so
+``mu_max_numeric`` is the same search on one transmittance.  Each predicate
+call tests several rungs of every point still climbing, the whole ladder for
+a 60-point sweep; a point's bracket ends at its first failing rung, where a
+doubling one rung per call would stop too.  The bisection likewise tests
+several levels of every live bracket per call (``roots.bisect_predicate``),
+and each bracket ends where a bisection of one level per call would end it.
+``t_min_numeric`` tests both ends and the midpoints its bisection visits
+while security holds in one call, and bisects on from the first that fails.
 ``tests/test_boundary.py`` checks that monotonicity on seeded configurations
 of every model and criterion.
 """
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import channel, noise_before, spdc, thermal_bath
 from .errors import ParameterDomainError
-from .roots import _CALL_WIDTH, bisect_predicate
+from .roots import bisect_predicate, wide
 from .security import qber_threshold, y_threshold
 from .witness import ClickStats, is_nonclassical, is_nongaussian
 
@@ -45,11 +47,28 @@ MU_SEED = 1e-12  # first rung of the doubling ladder
 T_FLOOR = 1e-9  # smallest transmittance t_min_numeric probes
 SECURITY_MARGIN = 1e-12  # "secure" means delta_i strictly above this
 
-# the doubling ladder MU_SEED * 2^j up to its first rung at the ceiling; a power-of-two
-# multiple is exact, so each rung is bit-equal to repeated doubling
-_LADDER = np.minimum(
-    np.ldexp(MU_SEED, np.arange(math.ceil(math.log2(MU_CEILING / MU_SEED)) + 1)), MU_CEILING
+_LADDER_WIDTH = 4096  # mu values per ladder call, unless more points are climbing
+
+# mu = 0, then the doubling ladder MU_SEED * 2^j up to its first rung at the ceiling; a
+# power-of-two multiple is exact, so each rung is bit-equal to repeated doubling
+_LADDER = np.append(
+    0.0,
+    np.minimum(
+        np.ldexp(MU_SEED, np.arange(math.ceil(math.log2(MU_CEILING / MU_SEED)) + 1)), MU_CEILING
+    ),
 )
+
+
+def _t_ladder() -> np.ndarray:
+    """T = 1, the midpoints the bisection of [1, T_FLOOR] visits while the criterion
+    holds, up to the first whose bracket [T, T_FLOOR] is not ``wide``, and T_FLOOR."""
+    rungs = [1.0]
+    while wide(rungs[-1], T_FLOOR):
+        rungs.append(0.5 * (rungs[-1] + T_FLOOR))
+    return np.array(rungs + [T_FLOOR])
+
+
+_T_LADDER = _t_ladder()
 
 
 @dataclass(frozen=True)
@@ -96,8 +115,8 @@ def mu_max_numeric(params: ModelParams, criterion: str) -> Optional[float]:
 
     Brackets the edge between the first failing rung of the doubling ladder
     from 1e-12 up to the ceiling and the rung below it (0 below the first),
-    testing the whole ladder in one predicate call, then bisects to a
-    relative width of 1e-6 (``roots.REL_TOL``).  Returns ``MU_CEILING`` when
+    testing mu = 0 and the whole ladder in one predicate call, then bisects to
+    a relative width of 1e-6 (``roots.REL_TOL``).  Returns ``MU_CEILING`` when
     the criterion still holds there.
     """
     mu_max, feasible = _search_mu_max(criterion_predicate(params, criterion), np.array([params.T]))
@@ -109,27 +128,24 @@ def _search_mu_max(pred: Callable, ts: np.ndarray) -> tuple[np.ndarray, np.ndarr
     with pred(mu, T); elsewhere 0.  An element leaves the search once its own
     bracket is done, so it ends as a search of its own would.
 
-    The points still climbing all stand on one rung; each call tests the next
-    ``_CALL_WIDTH // live`` rungs of each (at least one), as one flat array.
+    The points still climbing all stand on one rung of ``_LADDER``, which starts at
+    mu = 0; each call tests the next ``_LADDER_WIDTH // climbing`` rungs of each (at
+    least one), as one flat array, so up to 78 points test the whole ladder at once.
     """
-    feasible = pred(np.zeros(ts.size), ts)
-    holds, fails = np.zeros(ts.size), np.zeros(ts.size)
-    ceiling = np.zeros(ts.size, dtype=bool)
-    which, rung = np.flatnonzero(feasible), 0  # still climbing, next rung to test
-    while which.size:
-        rungs = _LADDER[rung : rung + max(1, _CALL_WIDTH // which.size)]
+    first = np.full(ts.size, _LADDER.size)  # each point's first failing rung, if any
+    which, rung = np.arange(ts.size), 0  # still climbing, next rung to test
+    while which.size and rung < _LADDER.size:
+        rungs = _LADDER[rung : rung + max(1, _LADDER_WIDTH // which.size)]
         ok = pred(np.tile(rungs, which.size), np.repeat(ts[which], rungs.size))
         ok = ok.reshape(which.size, rungs.size)
         stop = ~ok.all(axis=1)
-        k = rung + np.argmin(ok[stop], axis=1)  # first failing rung
-        holds[which[stop]] = np.where(k > 0, _LADDER[k - 1], 0.0)
-        fails[which[stop]] = _LADDER[k]
+        first[which[stop]] = rung + np.argmin(ok[stop], axis=1)
         which, rung = which[~stop], rung + rungs.size
-        if rung == _LADDER.size:
-            ceiling[which] = True
-            break
+    feasible, ceiling = first > 0, first == _LADDER.size
     rest = np.flatnonzero(feasible & ~ceiling)
-    holds, fails = bisect_predicate(lambda mu, i: pred(mu, ts[rest[i]]), holds[rest], fails[rest])
+    holds, fails = bisect_predicate(
+        lambda mu, i: pred(mu, ts[rest[i]]), _LADDER[first[rest] - 1], _LADDER[first[rest]]
+    )
     mu_max = np.where(ceiling, MU_CEILING, 0.0)
     mu_max[rest] = 0.5 * (holds + fails)
     return mu_max, feasible
@@ -152,17 +168,21 @@ def t_min_numeric(params: ModelParams) -> Optional[float]:
     """Smallest transmittance with a positive secret fraction at mu = 0.
 
     Returns 0.0 when security survives down to ``T_FLOOR`` (no positive
-    threshold) and None when it fails even at T = 1; both ends are tested in
-    one predicate call.
+    threshold) and None when it fails even at T = 1.  One predicate call tests
+    both ends and every midpoint the bisection between them visits while
+    security holds (``_T_LADDER``); the bisection goes on from the first that
+    fails, as the one from [1, T_FLOOR] would, well within ``roots._MAX_STEPS``.
     """
-
     pred = criterion_predicate(params, SECURITY)
-    at_one, at_floor = pred(0.0, np.array([1.0, T_FLOOR]))
-    if not at_one:
+    ok = pred(0.0, _T_LADDER)
+    if not ok[0]:
         return None
-    if at_floor:
+    if ok[-1]:
         return 0.0
-    holds, _ = bisect_predicate(lambda t, i: pred(0.0, t), 1.0, T_FLOOR)
+    k = int(np.argmin(ok))  # the first failing rung
+    holds, fails = _T_LADDER[k - 1], _T_LADDER[k]
+    if wide(holds, fails):
+        holds, _ = bisect_predicate(lambda t, i: pred(0.0, t), holds, fails)
     return float(holds)
 
 

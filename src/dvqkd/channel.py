@@ -21,7 +21,7 @@ import numpy as np
 
 from . import photon_stats as ps
 from .errors import ParameterDomainError, UndefinedRateError
-from .witness import ClickStats, combine
+from .witness import ClickStats, _within, combine
 
 Triple = tuple[float, float, float]
 
@@ -32,9 +32,9 @@ def validate(T: float, mu: float, e: float, d: float, *, p: float = 0.0, nu: flo
         raise ParameterDomainError(f"emission probability must be in [0, 1], got {p}")
     if not 0.0 <= nu < math.inf:
         raise ParameterDomainError(f"pair mean must be finite and >= 0, got {nu}")
-    if not np.all((0.0 <= T) & (T <= 1.0)):
+    if not _within(T, 0.0, 1.0):
         raise ParameterDomainError(f"transmittance must be in [0, 1], got {T}")
-    if not np.all((0.0 <= mu) & (mu < math.inf)):
+    if not _within(mu, 0.0, sys.float_info.max):  # finite
         raise ParameterDomainError(f"noise mean must be finite and >= 0, got {mu}")
     if not 0.0 <= e <= 1.0:
         raise ParameterDomainError(f"depolarization must be in [0, 1], got {e}")
@@ -137,6 +137,7 @@ def key_events(tau: float, beta: float, mup: float, e: float, d: float) -> tuple
 
 
 def error_rate(accepted: float, errors: float) -> float:
-    if np.any(accepted <= 0.0):
+    # only an element at or below 0 raises, not NaN
+    if not _within(accepted, math.ulp(0.0), math.inf) and np.any(accepted <= 0.0):
         raise UndefinedRateError("no accepted events: QBER undefined")
     return errors / accepted

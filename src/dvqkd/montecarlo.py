@@ -135,6 +135,12 @@ def simulate(params, config: McConfig, target: str = KEY) -> dict[str, McEstimat
     if target not in (KEY, AUTOCORR):
         raise ParameterDomainError(f"unknown target geometry: {target!r}")
     signal, block = _BLOCKS[channel.model(params).name]
+    if signal is _heralded_pairs:
+        if not 0.0 < params.nu <= NU_MAX:
+            raise ParameterDomainError(
+                f"spdc Monte Carlo needs a pair mean nu in (0, {NU_MAX:g}], got {params.nu:g}"
+            )
+        _minus_upper_tail(params.nu)  # the quantile table, built here once and not per worker
     starts = range(0, config.samples, _BLOCK)
 
     def run(block_index: int) -> dict[str, int]:
@@ -341,12 +347,9 @@ _poisson = SimpleNamespace(ppf=_poisson_ppf)
 def _heralded_pairs(rng: np.random.Generator, params, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Signal photons reaching Bob from a heralded pulse, and which pulses held >= 2 pairs.
 
-    Pair counts are drawn conditioned on the ideal herald (at least one pair).
+    Pair counts are drawn conditioned on the ideal herald (at least one pair), for
+    a pair mean that ``simulate`` has checked.
     """
-    if not 0.0 < params.nu <= NU_MAX:
-        raise ParameterDomainError(
-            f"spdc Monte Carlo needs a pair mean nu in (0, {NU_MAX:g}], got {params.nu:g}"
-        )
     p0 = math.exp(-params.nu)
     u = rng.random(n)
     u *= 1.0 - p0

@@ -11,11 +11,13 @@ and tail probabilities in closed form.  Means may be floats or numpy arrays.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterDomainError
+from .witness import _within
 
 THERMAL = "thermal"
 POISSON = "poisson"
@@ -34,7 +36,7 @@ class PhotonDistribution:
     def __post_init__(self) -> None:
         if self.kind not in (THERMAL, POISSON):
             raise ParameterDomainError(f"unknown distribution kind: {self.kind!r}")
-        if not np.all((self.mean >= 0.0) & (self.mean < math.inf)):
+        if not _within(self.mean, 0.0, sys.float_info.max):  # finite
             raise ParameterDomainError(f"mean photon number must be >= 0, got {self.mean}")
 
     @classmethod

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import InfeasibleError, ParameterDomainError
 from .roots import bisect_root
+from .witness import _within
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,7 @@ def binary_entropy(q: float) -> float:
 
 
 def _check_range(name: str, value, top: float) -> None:
-    if not np.all((0.0 <= value) & (value <= top)):
+    if not _within(value, 0.0, top):
         raise ParameterDomainError(f"{name} must be in [0, {top:g}], got {value}")
 
 

@@ -41,10 +41,14 @@ _SERIES = (
 
 
 def _within(value, lo, hi) -> bool:
-    """lo <= value <= hi everywhere, False at NaN: plain comparisons for a float, else np.all."""
+    """lo <= value <= hi everywhere, False at NaN: plain comparisons for a float, else
+    one min and one max pass, through which NaN propagates (an empty array passes)."""
     if isinstance(value, float):
         return lo <= value <= hi
-    return bool(np.all((lo <= value) & (value <= hi)))
+    value = np.asarray(value, dtype=float)
+    return value.size == 0 or bool(
+        lo <= np.minimum.reduce(value, axis=None) and np.maximum.reduce(value, axis=None) <= hi
+    )
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import _reference as ref
-from dvqkd import boundary, channel, noise_before, spdc, thermal_bath, witness
+from dvqkd import boundary, channel, noise_before, roots, spdc, thermal_bath, witness
 from dvqkd.errors import ParameterDomainError
 
 
@@ -271,7 +271,7 @@ class TestLadderSearch:
         rungs = [boundary.MU_SEED]
         while rungs[-1] < boundary.MU_CEILING:
             rungs.append(min(2.0 * rungs[-1], boundary.MU_CEILING))
-        assert boundary._LADDER.tolist() == rungs
+        assert boundary._LADDER.tolist() == [0.0] + rungs  # mu = 0 first
 
     @pytest.mark.parametrize("criterion", boundary.CRITERIA)
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -288,18 +288,20 @@ class TestLadderSearch:
             assert mu_max.tobytes() == want_mu_max.tobytes()
             assert feasible.tobytes() == want_feasible.tobytes()
 
-    def test_no_call_exceeds_the_call_width_or_the_points_climbing(self):
+    def test_no_call_exceeds_the_ladder_width_or_the_points_climbing(self):
         ts = np.geomspace(1e-9, 1.0, 5000)
-        calls = []  # (elements, points in the call)
+        calls = []  # (elements, points in the call, whether all are ladder rungs)
 
         def pred(mu, T):
-            calls.append((mu.size, np.unique(T).size))
+            calls.append((mu.size, np.unique(T).size, np.isin(mu, boundary._LADDER).all()))
             return mu < 2e3 * T  # edges on every rung; the ceiling for T > 0.5
 
         mu_max, feasible = boundary._search_mu_max(pred, ts)
-        assert all(size <= max(points, boundary._CALL_WIDTH) for size, points in calls)
-        assert calls[1] == (5000, 5000)  # more points than the width: one rung each
-        assert any(size > points for size, points in calls)
+        assert calls[0] == (5000, 5000, True)  # more points than the width: mu = 0 each
+        assert calls[1] == (5000, 5000, True)  # then one rung each
+        for size, points, ladder in calls:
+            assert size <= max(points, boundary._LADDER_WIDTH if ladder else roots._CALL_WIDTH)
+        assert any(ladder and size > points for size, points, ladder in calls)
         want_mu_max, _ = ref.search_mu_max_doubling(pred, ts)
         assert mu_max.tobytes() == want_mu_max.tobytes() and feasible.all()
         assert np.sum(mu_max == boundary.MU_CEILING) == np.sum(ts > 0.5)
@@ -314,7 +316,7 @@ class TestLadderSearch:
 
         mu_max, _ = boundary._search_mu_max(pred, np.geomspace(1e-3, 1.0, 60))
         assert mu_max == pytest.approx(np.full(60, 0.37), rel=1e-6)
-        assert len(calls) <= 30
+        assert len(calls) <= 6  # mu = 0 and the ladder in one, four levels in each of five
 
 
 class TestBisectionLevels:
@@ -366,28 +368,29 @@ class TestBisectionLevels:
             assert repr(t_min) == repr(want), params
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_t_min_takes_at_most_six_predicate_calls(self, variant, monkeypatch):
+    def test_t_min_takes_at_most_three_predicate_calls(self, variant, monkeypatch):
         # one level per call takes 20 to 50: the two ends, then one call per halving
         calls = self._counting(monkeypatch)
         for criterion in boundary.CRITERIA:
             for params, _ in self._configs(variant, criterion, 10):
                 calls.clear()
                 boundary.t_min_numeric(params)
-                assert len(calls) <= 6, params
+                assert len(calls) <= 3, params
 
     @pytest.mark.parametrize("criterion", boundary.CRITERIA)
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_sixty_point_sweep_takes_at_most_twelve_predicate_calls(
+    def test_sixty_point_sweep_takes_at_most_six_predicate_calls(
         self, variant, criterion, monkeypatch
     ):
-        # one level per call takes about 24: mu = 0, a few ladder calls, 20 bisection steps
+        # one level per call takes about 24: mu = 0, a few ladder calls, 20 bisection steps;
+        # here one call tests mu = 0 and the ladder, and five bisect four levels each
         calls = self._counting(monkeypatch)
         for params, grid in self._configs(variant, criterion, 10):
             calls.clear()
             points = boundary.sweep(params, criterion, grid).points
             taken = len(calls)
             if not any(pt.feasible and pt.mu_max < boundary.MU_SEED for pt in points):
-                assert taken <= 12, params
+                assert taken <= 6, params
                 continue
             # boundaries below the ladder's first rung, down to ~1e-25, bisect from
             # [0, MU_SEED]: at most a fifth of the calls the one-level search makes
@@ -557,6 +560,41 @@ class TestTMinNumeric:
     def test_infeasible_everywhere(self):
         pr = tb_params(e=0.25, d=0.0)  # depolarization alone exceeds the threshold
         assert boundary.t_min_numeric(pr) is None
+
+    def test_step_thresholds_match_the_one_level_search(self, monkeypatch):
+        # security holding for T >= threshold; the rungs are the bisection's midpoints
+        rungs = boundary._T_LADDER[1:-1]
+        narrow = [j for j in range(1, rungs.size) if not roots.wide(rungs[j - 1], rungs[j])]
+        thresholds = {
+            "at a rung": [rungs[0], rungs[1], rungs[20], rungs[-2], rungs[-1]],
+            "just above a rung": [np.nextafter(r, 1.0) for r in (rungs[0], rungs[20], rungs[-1])],
+            "between two rungs": [0.5 * (rungs[5] + rungs[6]), 0.3, 1e-3],
+            "between the last rung and T_FLOOR": [0.5 * (rungs[-1] + boundary.T_FLOOR)],
+            "first failing rung already narrow": [rungs[j - 1] for j in narrow],
+            "None": [np.nextafter(1.0, 2.0), 2.0],
+            "0.0": [boundary.T_FLOOR, 0.5 * boundary.T_FLOOR],
+        }
+        assert narrow  # the ladder reaches brackets narrow from their first step
+        calls = []
+
+        def step(params, criterion):
+            def pred(mu, T):
+                calls.append(1)
+                return np.asarray(T) >= threshold
+
+            return pred
+
+        monkeypatch.setattr(boundary, "criterion_predicate", step)
+        for case, values in thresholds.items():
+            for threshold in values:
+                calls.clear()
+                got = boundary.t_min_numeric(tb_params(d=1e-6))
+                taken = len(calls)
+                want = ref.t_min_numeric_one_level(tb_params(d=1e-6))
+                assert repr(got) == repr(want), (case, threshold)
+                assert taken <= 3, (case, threshold)
+                if case not in ("at a rung", "just above a rung", "between two rungs"):
+                    assert taken == 1, (case, threshold)  # no bracket left to bisect
 
 
 class TestAnalyticFormulas:

@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import threading
@@ -440,6 +441,21 @@ class TestWorkerCount:
         with pytest.raises(ParameterDomainError):
             mc.simulate(self.BAD_NU, mc.McConfig(samples=5 * (1 << 16) + 1, seed=1), mc.KEY)
         assert threading.active_count() == before
+
+    def test_quantile_table_is_built_once(self, monkeypatch):
+        # a slow build keeps the cache empty while a second worker would start its block
+        monkeypatch.setattr(mc, "_worker_count", lambda: 2)
+        build, built = mc._minus_upper_tail.__wrapped__, []
+
+        def counted(nu):
+            built.append(nu)
+            time.sleep(0.05)
+            return build(nu)
+
+        monkeypatch.setattr(mc, "_minus_upper_tail", functools.lru_cache(maxsize=16)(counted))
+        params = TestEveryDrawReference._params("spdc", **self.POINT)
+        mc.simulate(params, mc.McConfig(samples=70_001, seed=4), mc.AUTOCORR)
+        assert built == [params.nu]
 
     def test_one_cpu_starts_no_thread(self, monkeypatch):
         monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0}, raising=False)

@@ -70,9 +70,31 @@ class TestBisectPredicate:
 
     def test_an_end_at_zero_runs_to_the_step_limit(self):
         calls = self._compare(lambda x, i: x <= 0.0, 0.0, 1.0)
-        assert len(calls) == roots._MAX_STEPS // 10
+        # ten levels of its tree, then halvings below it up to the step limit, in one call
+        assert calls == [(1023 + roots._MAX_STEPS - 10, 1)]
         holds, fails = roots.bisect_predicate(lambda x, i: x <= 0.0, np.zeros(3), np.ones(3))
         assert holds.tolist() == [0.0] * 3 and fails.tolist() == [2.0**-roots._MAX_STEPS] * 3
+
+    def test_brackets_with_an_end_at_zero_halve_toward_it(self):
+        # [0, top] and [top, 0] among other brackets, edges down to 2^-199 top, so that
+        # some flip just before the step limit
+        rng = np.random.default_rng(5)
+        tops = 10.0 ** rng.uniform(-12.0, 3.0, 40)
+        edges = tops * 2.0 ** -rng.uniform(0.5, 199.0, 40)
+        at_zero = np.arange(40) % 2 == 0  # holds at 0 and below the edge, else above it
+        others = self._edges(rng, 20)
+        holds, fails, flip = self._brackets(rng, others)
+        edges, flip = np.append(edges, others), np.append(~at_zero, flip)
+        holds = np.append(np.where(at_zero, 0.0, tops), holds)
+        fails = np.append(np.where(at_zero, tops, 0.0), fails)
+        calls = self._compare(lambda x, i: (x < edges[i]) != flip[i], holds, fails)
+        # one level per call takes 200 calls, and trees of levels alone 42; the halvings
+        # below the trees take up to one more call width
+        assert len(calls) <= 10 and all(values <= 2 * roots._CALL_WIDTH for values, _ in calls)
+        # halvings into subnormals, down to 0, from either end
+        for edge, at_zero in ((5e-324, True), (0.0, True), (0.0, False)):
+            holds, fails = (0.0, 1e-300) if at_zero else (1e-300, 0.0)
+            self._compare(lambda x, i: (x < edge) == at_zero, holds, fails)
 
     def test_brackets_narrower_than_the_tolerance_still_take_one_step(self):
         holds = np.array([1.0, 2.0, 5.0, 0.3])
