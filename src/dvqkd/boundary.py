@@ -1,18 +1,22 @@
 """Maximal-noise boundaries mu_max(T), minimal secure transmittances and
 their closed-form small-T / small-nu approximations.
 
-The numeric solver treats each criterion (positive secret fraction,
-nonclassicality, non-Gaussianity) as a predicate on the noise mean mu and
-locates the largest mu at which it still holds.  The search assumes every
-predicate is monotone in mu (noise only hurts): it brackets the edge on the
-ladder of mu = 0 and the doublings MU_SEED * 2^j (capped at the ceiling) and
-bisects it once, on all transmittances of a sweep at once, so
-``mu_max_numeric`` is the same search on one transmittance.  Each predicate
-call tests several rungs of every point still climbing, the whole ladder for
-a 60-point sweep; a point's bracket ends at its first failing rung, where a
-doubling one rung per call would stop too.  The bisection likewise tests
-several levels of every live bracket per call (``roots.bisect_predicate``),
-and each bracket ends where a bisection of one level per call would end it.
+The numeric solver reads each criterion (positive secret fraction,
+nonclassicality, non-Gaussianity) as a real margin on the noise mean mu,
+positive exactly where the criterion holds (``criterion_margin``; the
+predicate is its sign), and locates the largest mu at which it still holds.
+The search assumes every criterion is monotone in mu (noise only hurts): it
+brackets the edge on the ladder of mu = 0 and the doublings MU_SEED * 2^j
+(capped at the ceiling) and bisects it once, on all transmittances of a
+sweep at once, so ``mu_max_numeric`` is the same search on one
+transmittance.  Each criterion call tests several rungs of every point
+still climbing, the whole ladder for a 60-point sweep; a point's bracket
+ends at its first failing rung, where a doubling one rung per call would
+stop too.  The bisection tests several levels of every live bracket per
+call (``roots.bisect_predicate``); the margin's values on the first of them
+guess each edge, and the next call tests the whole path of midpoints the
+guess implies.  Each bracket ends where a bisection of one level per call
+would end it, so a 60-point sweep takes three calls where its guesses hold.
 ``t_min_numeric`` tests both ends and the midpoints its bisection visits
 while security holds in one call, and bisects on from the first that fails.
 ``tests/test_boundary.py`` checks that monotonicity on seeded configurations
@@ -31,7 +35,9 @@ from . import channel, noise_before, spdc, thermal_bath
 from .errors import ParameterDomainError
 from .roots import bisect_predicate, wide
 from .security import qber_threshold, y_threshold
-from .witness import ClickStats, is_nonclassical, is_nongaussian
+# the witnesses' decisions stay importable from here, where callers look them up
+from .witness import ClickStats, is_nonclassical, is_nongaussian  # noqa: F401
+from .witness import nonclassical_margin, nongaussian_margin
 
 ModelParams = Union[
     thermal_bath.ThermalBathParams, noise_before.NoiseBeforeParams, spdc.SpdcParams
@@ -90,6 +96,11 @@ def delta_i(params: ModelParams) -> float:
     return channel.model(params).module.key_rate(params).delta_i
 
 
+def secret_bound(params: ModelParams) -> float:
+    """The secret-fraction bound before its clip at 0, for any of the three models."""
+    return channel.model(params).module.secret_bound(params)
+
+
 def model_clicks(params: ModelParams) -> ClickStats:
     return channel.model(params).module.click_stats(params)
 
@@ -98,16 +109,27 @@ def model_name(params: ModelParams) -> str:
     return channel.model(params).name
 
 
+def criterion_margin(params: ModelParams, criterion: str) -> Callable:
+    """Margin in mu, and in T in place of ``params.T``, of the criterion at fixed other
+    parameters, elementwise over arrays: real, and positive exactly where it holds.
+
+    Security: the secret fraction before its clip at 0, less ``SECURITY_MARGIN``;
+    nonclassicality and non-Gaussianity: the witness boundary less P_C.
+    """
+    if criterion == SECURITY:
+        return lambda mu, T=params.T: secret_bound(replace(params, T=T, mu=mu)) - SECURITY_MARGIN
+    if criterion == NONCLASSICAL:
+        return lambda mu, T=params.T: nonclassical_margin(model_clicks(replace(params, T=T, mu=mu)))
+    if criterion == NONGAUSSIAN:
+        return lambda mu, T=params.T: nongaussian_margin(model_clicks(replace(params, T=T, mu=mu)))
+    raise ParameterDomainError(f"unknown criterion: {criterion!r}")
+
+
 def criterion_predicate(params: ModelParams, criterion: str) -> Callable:
     """Predicate in mu, and in T in place of ``params.T``, deciding whether the
-    criterion holds at fixed other parameters; elementwise over arrays."""
-    if criterion == SECURITY:
-        return lambda mu, T=params.T: delta_i(replace(params, T=T, mu=mu)) > SECURITY_MARGIN
-    if criterion == NONCLASSICAL:
-        return lambda mu, T=params.T: is_nonclassical(model_clicks(replace(params, T=T, mu=mu)))
-    if criterion == NONGAUSSIAN:
-        return lambda mu, T=params.T: is_nongaussian(model_clicks(replace(params, T=T, mu=mu)))
-    raise ParameterDomainError(f"unknown criterion: {criterion!r}")
+    criterion holds at fixed other parameters: its margin is positive."""
+    margin = criterion_margin(params, criterion)
+    return lambda mu, T=params.T: margin(mu, T) > 0.0
 
 
 def mu_max_numeric(params: ModelParams, criterion: str) -> Optional[float]:
@@ -115,23 +137,30 @@ def mu_max_numeric(params: ModelParams, criterion: str) -> Optional[float]:
 
     Brackets the edge between the first failing rung of the doubling ladder
     from 1e-12 up to the ceiling and the rung below it (0 below the first),
-    testing mu = 0 and the whole ladder in one predicate call, then bisects to
+    testing mu = 0 and the whole ladder in one criterion call, then bisects to
     a relative width of 1e-6 (``roots.REL_TOL``).  Returns ``MU_CEILING`` when
     the criterion still holds there.
     """
-    mu_max, feasible = _search_mu_max(criterion_predicate(params, criterion), np.array([params.T]))
+    mu_max, feasible = _search_mu_max(criterion_margin(params, criterion), np.array([params.T]))
     return float(mu_max[0]) if feasible[0] else None
 
 
-def _search_mu_max(pred: Callable, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(mu_max, feasible) per transmittance: where pred(0, T) holds, the largest mu
-    with pred(mu, T); elsewhere 0.  An element leaves the search once its own
+def _search_mu_max(margin: Callable, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mu_max, feasible) per transmittance: where margin(0, T) > 0, the largest mu
+    with margin(mu, T) > 0; elsewhere 0.  An element leaves the search once its own
     bracket is done, so it ends as a search of its own would.
 
     The points still climbing all stand on one rung of ``_LADDER``, which starts at
     mu = 0; each call tests the next ``_LADDER_WIDTH // climbing`` rungs of each (at
     least one), as one flat array, so up to 78 points test the whole ladder at once.
+    The bisection (``roots.bisect_predicate``) gets the margin itself: its values
+    on a bracket's first tree levels guess the edge, and the next call tests the
+    path the guess implies.  A margin that is only a boolean works too, unguessed.
     """
+
+    def pred(mu, T):
+        return margin(mu, T) > 0.0
+
     first = np.full(ts.size, _LADDER.size)  # each point's first failing rung, if any
     which, rung = np.arange(ts.size), 0  # still climbing, next rung to test
     while which.size and rung < _LADDER.size:
@@ -144,7 +173,7 @@ def _search_mu_max(pred: Callable, ts: np.ndarray) -> tuple[np.ndarray, np.ndarr
     feasible, ceiling = first > 0, first == _LADDER.size
     rest = np.flatnonzero(feasible & ~ceiling)
     holds, fails = bisect_predicate(
-        lambda mu, i: pred(mu, ts[rest[i]]), _LADDER[first[rest] - 1], _LADDER[first[rest]]
+        lambda mu, i: margin(mu, ts[rest[i]]), _LADDER[first[rest] - 1], _LADDER[first[rest]]
     )
     mu_max = np.where(ceiling, MU_CEILING, 0.0)
     mu_max[rest] = 0.5 * (holds + fails)
@@ -156,11 +185,8 @@ def sweep(params: ModelParams, criterion: str, t_grid: Sequence[float]) -> Bound
     ts = np.array(t_grid, dtype=float)
     if not (np.all((ts > 0.0) & (ts <= 1.0)) and np.all(np.diff(ts) > 0.0)):
         raise ParameterDomainError("transmittance grid must increase strictly within (0, 1]")
-    mu_max, feasible = _search_mu_max(criterion_predicate(params, criterion), ts)
-    points = tuple(
-        BoundaryPoint(T=t, mu_max=float(mu), feasible=bool(ok))
-        for t, mu, ok in zip(ts.tolist(), mu_max, feasible)
-    )
+    mu_max, feasible = _search_mu_max(criterion_margin(params, criterion), ts)
+    points = tuple(map(BoundaryPoint, ts.tolist(), mu_max.tolist(), feasible.tolist()))
     return BoundaryCurve(model_name(params), criterion, points)
 
 
@@ -172,6 +198,9 @@ def t_min_numeric(params: ModelParams) -> Optional[float]:
     both ends and every midpoint the bisection between them visits while
     security holds (``_T_LADDER``); the bisection goes on from the first that
     fails, as the one from [1, T_FLOOR] would, well within ``roots._MAX_STEPS``.
+    The bisection gets the predicate, not the margin, so it takes no guess: its
+    one bracket tests ten levels per call, so a guess could only shorten the
+    last call, and that is slower than the ten levels it saves.
     """
     pred = criterion_predicate(params, SECURITY)
     ok = pred(0.0, _T_LADDER)

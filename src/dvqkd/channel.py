@@ -43,8 +43,9 @@ def validate(T: float, mu: float, e: float, d: float, *, p: float = 0.0, nu: flo
 
 
 class Model(NamedTuple):
-    """A channel model.  Its module's key_rate, key_statistics, click_stats and
-    omega are looked up at call time, so a replaced attribute takes effect."""
+    """A channel model.  Its module's key_rate, secret_bound, key_statistics,
+    click_stats and omega are looked up at call time, so a replaced attribute
+    takes effect."""
 
     name: str
     params_type: type

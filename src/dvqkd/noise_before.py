@@ -20,7 +20,7 @@ import numpy as np
 from . import channel
 from . import photon_stats as ps
 from .errors import ParameterDomainError
-from .security import KeyRateResult, secret_fraction_ideal
+from .security import KeyRateResult, secret_bound_ideal, secret_fraction_ideal
 from .witness import ClickStats
 
 
@@ -103,6 +103,11 @@ def key_rate(params: NoiseBeforeParams) -> KeyRateResult:
         p_exp=accepted,
         delta_i=secret_fraction_ideal(q),
     )
+
+
+def secret_bound(params: NoiseBeforeParams) -> float:
+    """The secret fraction before its clip at 0."""
+    return secret_bound_ideal(channel.error_rate(*_key_events(params, event_probs(params))))
 
 
 def key_statistics(params: NoiseBeforeParams) -> dict[str, float]:

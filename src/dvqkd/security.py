@@ -42,10 +42,30 @@ def _check_range(name: str, value, top: float) -> None:
         raise ParameterDomainError(f"{name} must be in [0, {top:g}], got {value}")
 
 
+def secret_bound_ideal(q: float) -> float:
+    """1 - 2H(q): the ideal-source secret fraction before its clip at 0."""
+    _check_range("QBER", q, 0.5)
+    return 1.0 - 2.0 * binary_entropy(q)
+
+
 def secret_fraction_ideal(q: float) -> float:
     """Secret fraction for an ideal single-photon source: max[0, 1 - 2H(q)]."""
+    return np.maximum(0.0, secret_bound_ideal(q))
+
+
+def _multiphoton(q: float, y: float) -> tuple:
+    """(y - H(q) - y H(q/y), whether the bracket applies: y > 0 and q <= y)."""
     _check_range("QBER", q, 0.5)
-    return np.maximum(0.0, 1.0 - 2.0 * binary_entropy(q))
+    _check_range("single-photon fraction", y, 1.0)
+    live = (y > 0.0) & (q <= y)
+    ratio = np.minimum(q, y) / np.where(y > 0.0, y, 1.0)  # q / y where live, else in [0, 1]
+    return y - binary_entropy(q) - y * binary_entropy(ratio), live
+
+
+def secret_bound_multiphoton(q: float, y: float) -> float:
+    """The multiphoton secret fraction before its clip at 0.  Where y = 0 or q > y it
+    reads y - H(q), which is at most 0: H(q) >= 2q on [0, 1/2]."""
+    return _multiphoton(q, y)[0]
 
 
 def secret_fraction_multiphoton(q: float, y: float) -> float:
@@ -55,11 +75,8 @@ def secret_fraction_multiphoton(q: float, y: float) -> float:
     on the single-photon part: max[0, y - H(q) - y H(q/y)].  For y = 0 or
     q > y the bracket is negative and the bound is zero.
     """
-    _check_range("QBER", q, 0.5)
-    _check_range("single-photon fraction", y, 1.0)
-    live = (y > 0.0) & (q <= y)
-    ratio = np.minimum(q, y) / np.where(y > 0.0, y, 1.0)  # q / y where live, else in [0, 1]
-    return np.maximum(0.0, y - binary_entropy(q) - y * binary_entropy(ratio)) * live
+    bound, live = _multiphoton(q, y)
+    return np.maximum(0.0, bound) * live
 
 
 @lru_cache(maxsize=1)

@@ -20,7 +20,7 @@ import numpy as np
 from . import channel
 from . import photon_stats as ps
 from .errors import ParameterDomainError, UndefinedRateError
-from .security import KeyRateResult, secret_fraction_multiphoton
+from .security import KeyRateResult, secret_bound_multiphoton, secret_fraction_multiphoton
 from .witness import ClickStats
 
 
@@ -82,6 +82,12 @@ def key_rate(params: SpdcParams) -> KeyRateResult:
         p_exp=stats.p_exp,
         delta_i=secret_fraction_multiphoton(stats.qber, stats.single_photon_fraction),
     )
+
+
+def secret_bound(params: SpdcParams) -> float:
+    """The secret fraction before its clip at 0."""
+    stats = key_stats(params)
+    return secret_bound_multiphoton(stats.qber, stats.single_photon_fraction)
 
 
 def key_statistics(params: SpdcParams) -> dict[str, float]:

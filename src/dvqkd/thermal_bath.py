@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import channel
 from . import photon_stats as ps
-from .security import KeyRateResult, secret_fraction_ideal
+from .security import KeyRateResult, secret_bound_ideal, secret_fraction_ideal
 from .witness import ClickStats
 
 
@@ -47,6 +47,11 @@ def key_rate(params: ThermalBathParams) -> KeyRateResult:
         p_exp=accepted,
         delta_i=secret_fraction_ideal(q),
     )
+
+
+def secret_bound(params: ThermalBathParams) -> float:
+    """The secret fraction before its clip at 0."""
+    return secret_bound_ideal(channel.error_rate(*_key_events(params)))
 
 
 def key_statistics(params: ThermalBathParams) -> dict[str, float]:

@@ -244,30 +244,48 @@ def ng_boundary(p_single):
     return _boundary(p_single)
 
 
+def nonclassical_margin(stats: ClickStats):
+    """nc_boundary(P_S) - P_C: positive exactly where ``is_nonclassical`` flags.
+
+    No classical mixture reaches P_S > 1/2 at all, so there the margin is 1
+    (any positive value would do) instead of raising the boundary's domain
+    error.  A margin continuous across P_S = 1/2 would differ from the
+    boundary's on the failing side near it, and guess worse there.
+    """
+    ps = stats.p_single
+    margin = nc_boundary(np.minimum(ps, 0.5)) - stats.p_coincidence
+    return np.where(ps > 0.5, 1.0, margin)[()]
+
+
 def is_nonclassical(stats: ClickStats):
     """True when no classical intensity mixture reproduces the click statistics.
 
-    For P_S <= 1/2 this is the strict comparison against the boundary, so
-    states exactly on it are conservatively not flagged.  No classical
-    mixture reaches P_S > 1/2 at all, so brighter single-click statistics
-    are flagged outright instead of raising the boundary's domain error.
+    For P_S <= 1/2 this is the strict comparison P_C < nc_boundary(P_S), so
+    states exactly on the boundary are conservatively not flagged; brighter
+    single-click statistics are flagged outright.
     """
-    ps = stats.p_single
-    return (ps > 0.5) | (stats.p_coincidence < nc_boundary(np.minimum(ps, 0.5)))
+    return nonclassical_margin(stats) > 0.0
 
 
-def is_nongaussian(stats: ClickStats):
-    """True when no Gaussian mixture reproduces the click statistics.
+def nongaussian_margin(stats: ClickStats):
+    """ng_boundary(P_S) - P_C: positive exactly where ``is_nongaussian`` flags.
 
     Above the largest single-click probability attainable by the Gaussian
-    family the achievable region is empty and every state is flagged; below
-    it the strict comparison P_C < ng_boundary(P_S) decides, elementwise.
+    family the achievable region is empty and the margin is 1.
     """
     ps = stats.p_single
     if not _within(ps, -np.inf, np.inf):  # NaN, which ng_boundary rejects
         raise ParameterDomainError(f"p_single must be in [0, 1], got {ps}")
     top = ng_boundary_curve(NG_POINTS).p_single[-1]
-    return (ps > top) | (stats.p_coincidence < _boundary(np.clip(ps, 0.0, top)))
+    margin = _boundary(np.clip(ps, 0.0, top)) - stats.p_coincidence
+    return np.where(ps > top, 1.0, margin)[()]
+
+
+def is_nongaussian(stats: ClickStats):
+    """True when no Gaussian mixture reproduces the click statistics: the strict
+    comparison P_C < ng_boundary(P_S), elementwise, and every P_S above the
+    family's largest."""
+    return nongaussian_margin(stats) > 0.0
 
 
 def combine(a: tuple, b: tuple, weight: float = 0.5) -> tuple[float, float, float]:

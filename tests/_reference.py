@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Callable
 
@@ -35,7 +35,15 @@ from dvqkd.photon_stats import THERMAL, PhotonDistribution
 from dvqkd.roots import _MAX_STEPS, REL_TOL
 from dvqkd.spdc import SpdcParams
 from dvqkd.thermal_bath import ThermalBathParams
-from dvqkd.witness import ClickStats, _family, combine, n_of_v
+from dvqkd.witness import (
+    ClickStats,
+    _family,
+    combine,
+    n_of_v,
+    nc_boundary,
+    ng_boundary,
+    ng_boundary_curve,
+)
 
 _LOG_SPACE_CUTOFF = 64  # direct powers are exact enough below this order
 
@@ -409,6 +417,21 @@ def t_min_numeric_one_level(params) -> float | None:
         return 0.0
     holds, _ = bisect_predicate_one_level(lambda t: pred(0.0, t), 1.0, boundary.T_FLOOR)
     return float(holds)
+
+
+def criterion_holds(params, criterion: str, mu, T):
+    """Whether the criterion holds at (mu, T), decided by the comparisons the
+    margins replace: delta_i above the security margin, P_C below the classical or
+    Gaussian boundary, or P_S beyond either boundary's reach; elementwise."""
+    point = replace(params, T=T, mu=mu)
+    if criterion == boundary.SECURITY:
+        return boundary.delta_i(point) > boundary.SECURITY_MARGIN
+    clicks = boundary.model_clicks(point)
+    p_s, p_c = clicks.p_single, clicks.p_coincidence
+    if criterion == boundary.NONCLASSICAL:
+        return (p_s > 0.5) | (p_c < nc_boundary(np.minimum(p_s, 0.5)))
+    top = ng_boundary_curve().p_single[-1]
+    return (p_s > top) | (p_c < ng_boundary(np.clip(p_s, 0.0, top)))
 
 
 def search_mu_max_doubling(pred: Callable, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

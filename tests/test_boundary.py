@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 import warnings
 from dataclasses import replace
 
@@ -130,6 +132,68 @@ class TestMonotoneInMu:
             pred = boundary.criterion_predicate(params, criterion)
             flags = [pred(mu) for mu in self.MU_GRID]
             assert not any(not a and b for a, b in zip(flags, flags[1:])), params
+
+
+class TestCriterionMargin:
+    """Each criterion's margin is positive exactly where the comparisons it replaces
+    hold (``ref.criterion_holds``), bit for bit, over seeded draws crossed with the
+    edge arrays of the batched sweep: T = 1, mu = 0 and the ceiling."""
+
+    VARIANTS = TestMonotoneInMu.VARIANTS
+
+    @pytest.mark.parametrize("criterion", boundary.CRITERIA)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_margin_is_positive_exactly_where_the_criterion_holds(self, variant, criterion):
+        rng = np.random.default_rng(
+            [19, self.VARIANTS.index(variant), boundary.CRITERIA.index(criterion)]
+        )
+        draw = (TestBatchedSweep._draw, TestMonotoneInMu._draw)
+        draws = [draw[k % 2](rng, variant) for k in range(8)]
+        if variant == "spdc":  # bright pairs: y = 0 at small T, and q > y > 0 above it
+            draws.append(spdc.SpdcParams(nu=0.1, T=1.0, mu=0.0, e=0.05, d=1e-6))
+        reached = set()
+        for params in draws:
+            ts = np.concatenate([TestBatchedSweep.T, 10.0 ** rng.uniform(-9.0, 0.0, 30)])
+            mus = np.concatenate([TestBatchedSweep.MU, 10.0 ** rng.uniform(-12.0, 3.0, 30)])
+            T, mu = (x.ravel() for x in np.meshgrid(ts, mus))
+            want = ref.criterion_holds(params, criterion, mu, T)
+            margin = boundary.criterion_margin(params, criterion)(mu, T)
+            assert margin.dtype == float and np.array_equal(margin > 0.0, want), params
+            assert np.array_equal(boundary.criterion_predicate(params, criterion)(mu, T), want)
+            one = boundary.criterion_margin(params, criterion)(float(mu[7]), float(T[7]))
+            assert type(one) is np.float64 and (one > 0.0) == want[7]
+            reached |= self._edges(params, criterion, mu, T, want)
+        assert {"holds", "fails"} <= reached
+        if criterion == boundary.SECURITY and variant == "spdc":
+            assert {"y = 0", "q > y > 0"} <= reached
+        if criterion != boundary.SECURITY and variant == "thermal-bath":
+            assert "P_S beyond the boundary" in reached
+
+    @staticmethod
+    def _edges(params, criterion, mu, T, want) -> set:
+        """The edge cases the points reach."""
+        point = replace(params, T=T, mu=mu)
+        reached = {"holds"} if want.any() else set()
+        reached |= {"fails"} if not want.all() else set()
+        if isinstance(params, spdc.SpdcParams):
+            stats = spdc.key_stats(point)
+            y = stats.single_photon_fraction
+            reached |= {"y = 0"} if np.any(y == 0.0) else set()
+            reached |= {"q > y > 0"} if np.any((stats.qber > y) & (y > 0.0)) else set()
+        if criterion != boundary.SECURITY:
+            p_s = boundary.model_clicks(point).p_single
+            top = witness.ng_boundary_curve().p_single[-1]
+            top = 0.5 if criterion == boundary.NONCLASSICAL else top
+            reached |= {"P_S beyond the boundary"} if np.any(p_s > top) else set()
+        return reached
+
+    @pytest.mark.parametrize("criterion", boundary.CRITERIA)
+    def test_nan_still_raises(self, criterion):
+        margin = boundary.criterion_margin(tb_params(), criterion)
+        with pytest.raises(ParameterDomainError):
+            margin(np.array([1e-3, math.nan]))
+        with pytest.raises(ParameterDomainError):
+            boundary.criterion_predicate(tb_params(), criterion)(math.nan)
 
 
 class TestSweep:
@@ -306,17 +370,33 @@ class TestLadderSearch:
         assert mu_max.tobytes() == want_mu_max.tobytes() and feasible.all()
         assert np.sum(mu_max == boundary.MU_CEILING) == np.sum(ts > 0.5)
 
+    def test_guessed_paths_stay_within_the_guess_width(self):
+        ts = np.geomspace(1e-9, 0.5, 60)
+        calls = []  # (elements, points in the call)
+
+        def margin(mu, T):
+            calls.append((mu.size, np.unique(T).size))
+            return 2e3 * T - mu  # edges on every rung
+
+        mu_max, feasible = boundary._search_mu_max(margin, ts)
+        # the ladder, four tree levels of each bracket, and the paths of their guesses
+        assert len(calls) == 3 and calls[1] == (60 * 15, 60)
+        assert calls[2][1] == 60 and calls[2][0] <= roots._GUESS_WIDTH
+        want_mu_max, _ = ref.search_mu_max_doubling(lambda mu, T: margin(mu, T) > 0.0, ts)
+        assert mu_max.tobytes() == want_mu_max.tobytes() and feasible.all()
+
     def test_sixty_points_take_few_predicate_calls(self):
         # one rung per call takes 61: mu = 0, 40 doublings to 0.37, 20 bisection steps
         calls = []
 
-        def pred(mu, T):
+        def margin(mu, T):
             calls.append(mu.size)
-            return mu < 0.37
+            return 0.37 - mu
 
-        mu_max, _ = boundary._search_mu_max(pred, np.geomspace(1e-3, 1.0, 60))
+        mu_max, _ = boundary._search_mu_max(margin, np.geomspace(1e-3, 1.0, 60))
         assert mu_max == pytest.approx(np.full(60, 0.37), rel=1e-6)
-        assert len(calls) <= 6  # mu = 0 and the ladder in one, four levels in each of five
+        # mu = 0 and the ladder in one, four tree levels in one, each guess's path in one
+        assert len(calls) <= 3
 
 
 class TestBisectionLevels:
@@ -339,20 +419,21 @@ class TestBisectionLevels:
 
     @staticmethod
     def _counting(monkeypatch):
-        """Counts the calls of every predicate the boundary module builds from here on."""
+        """Counts the calls of every margin the boundary module builds from here on, and
+        so of every predicate too: a predicate calls its margin once per call."""
         calls = []
-        build = boundary.criterion_predicate
+        build = boundary.criterion_margin
 
         def counted(params, criterion):
-            pred = build(params, criterion)
+            margin = build(params, criterion)
 
             def call(*args):
                 calls.append(1)
-                return pred(*args)
+                return margin(*args)
 
             return call
 
-        monkeypatch.setattr(boundary, "criterion_predicate", counted)
+        monkeypatch.setattr(boundary, "criterion_margin", counted)
         return calls
 
     @pytest.mark.parametrize("criterion", boundary.CRITERIA)
@@ -383,7 +464,8 @@ class TestBisectionLevels:
         self, variant, criterion, monkeypatch
     ):
         # one level per call takes about 24: mu = 0, a few ladder calls, 20 bisection steps;
-        # here one call tests mu = 0 and the ladder, and five bisect four levels each
+        # here one call tests mu = 0 and the ladder, and each call after it four or more
+        # bisection levels of every bracket, or the rest of the path its guess implies
         calls = self._counting(monkeypatch)
         for params, grid in self._configs(variant, criterion, 10):
             calls.clear()
@@ -536,6 +618,85 @@ class TestFrozenNonGaussianSweeps:
         grid = np.geomspace(low, 0.5, 60)
         got = [pt.mu_max for pt in boundary.sweep(params, boundary.NONGAUSSIAN, grid).points]
         assert [v.hex() for v in got] == [v.hex() for v in self.FROZEN[name]]
+
+
+class TestWrongGuesses:
+    """A guess only orders the tests: whatever the guesses, each point is the search
+    doubling one rung and bisecting one level per call, bit for bit."""
+
+    VARIANTS = TestMonotoneInMu.VARIANTS
+    WRONG = {
+        "1e-3 relative": lambda guess, holds, fails: guess * (1.0 + 1e-3),
+        "1e-7 relative": lambda guess, holds, fails: guess * (1.0 - 1e-7),
+        "NaN": lambda guess, holds, fails: np.full_like(guess, np.nan),
+        "above the bracket": lambda guess, holds, fails: 2.0 * fails - holds,
+        "below the bracket": lambda guess, holds, fails: 0.5 * holds,
+    }
+
+    @pytest.fixture(params=list(WRONG))
+    def wrong(self, request, monkeypatch):
+        """Every guess the search takes, moved as the case says."""
+        true, move = roots._guess, self.WRONG[request.param]
+        monkeypatch.setattr(roots, "_guess", lambda h, f, margin: move(true(h, f, margin), h, f))
+
+    @pytest.mark.parametrize("criterion", boundary.CRITERIA)
+    def test_sweeps_match_the_one_level_search(self, wrong, criterion):
+        rng = np.random.default_rng([29, boundary.CRITERIA.index(criterion)])
+        for variant in self.VARIANTS:
+            for draw in (TestBatchedSweep._draw, TestMonotoneInMu._draw):
+                params = draw(rng, variant)
+                ts = np.geomspace(10.0 ** rng.uniform(-9.0, -2.0), 1.0, 60)
+                pred = boundary.criterion_predicate(params, criterion)
+                want = ref.search_mu_max_doubling(pred, ts)
+                # the margin, and a margin that is only a boolean
+                for margin in (boundary.criterion_margin(params, criterion), pred):
+                    got = boundary._search_mu_max(margin, ts)
+                    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), params
+
+    def test_non_monotone_margins_match_the_one_level_search(self, wrong):
+        ts = np.geomspace(1e-9, 1.0, 40)
+        margins = (
+            # the fallback test's window, and a real margin changing sign on each
+            # 2^20-ulp block of a third of the values
+            lambda mu, T: ((mu <= 0.01) | ((1.0 <= mu) & (mu <= 500.0))) - 0.5,
+            lambda mu, T: ((mu.view(np.int64) >> 20) % 3 != 1) + T - 0.5 * (mu > 0.0),
+            lambda mu, T: 1e-20 * T - mu,  # every edge below the first rung: brackets from 0
+        )
+        for margin in margins:
+            got = boundary._search_mu_max(margin, ts)
+            want = ref.search_mu_max_doubling(lambda mu, T: margin(mu, T) > 0.0, ts)
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+class TestFrozenSweeps:
+    """Seeded 60-point security and nonclassical sweeps hash to the digests of the
+    search doubling one rung and bisecting one level per call: sha256 over
+    (T, mu_max, feasible) of each point, as little-endian double, double, bool."""
+
+    VARIANTS = TestMonotoneInMu.VARIANTS
+    DIGESTS = {
+        ("thermal-bath", "security"): "01a312c861970ce5",
+        ("noise-before/thermal", "security"): "0a1646b2d9faf58e",
+        ("noise-before/poisson", "security"): "66ba63df48852e37",
+        ("spdc", "security"): "fc0dcd9a0a79cc86",
+        ("thermal-bath", "nonclassical"): "20dd9925d3df344b",
+        ("noise-before/thermal", "nonclassical"): "36238f247e3b78f3",
+        ("noise-before/poisson", "nonclassical"): "ad80a683839488e4",
+        ("spdc", "nonclassical"): "e067b62f16c67ebf",
+    }
+
+    @pytest.mark.parametrize("variant, criterion", list(DIGESTS))
+    def test_sweeps_hash_to_their_digest(self, variant, criterion):
+        rng = np.random.default_rng(
+            [17, self.VARIANTS.index(variant), boundary.CRITERIA.index(criterion)]
+        )
+        digest = hashlib.sha256()
+        for _ in range(4):
+            params = TestBatchedSweep._draw(rng, variant)
+            grid = np.geomspace(10.0 ** rng.uniform(-9.0, -3.0), 0.5, 60)
+            for pt in boundary.sweep(params, criterion, grid).points:
+                digest.update(struct.pack("<dd?", pt.T, pt.mu_max, pt.feasible))
+        assert digest.hexdigest()[:16] == self.DIGESTS[variant, criterion]
 
 
 class TestTMinNumeric:

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 import _reference as ref
 from dvqkd import roots
@@ -10,8 +11,9 @@ class TestBisectPredicate:
 
     @staticmethod
     def _compare(pred, holds, fails):
-        """Both bisections on the same brackets; returns the new one's predicate calls
-        as (values tested, elements tested)."""
+        """Both bisections on the same brackets, for a predicate or a real margin (the
+        one-level bisection takes its sign); returns the new one's calls as (values
+        tested, elements tested)."""
         size = np.size(holds)
         calls = []
 
@@ -21,7 +23,7 @@ class TestBisectPredicate:
 
         got = roots.bisect_predicate(indexed, holds, fails)
         want = ref.bisect_predicate_one_level(
-            lambda x: pred(x, np.arange(size).reshape(np.shape(x))), holds, fails
+            lambda x: pred(x, np.arange(size).reshape(np.shape(x))) > 0, holds, fails
         )
         for g, w in zip(got, want):
             assert np.shape(g) == np.shape(w) and g.dtype == w.dtype
@@ -128,3 +130,94 @@ class TestBisectPredicate:
         for x, i in seen:
             assert np.all((0.0 < x) & (x < tops[i]))
         assert np.allclose(0.5 * (holds + fails), edges, rtol=roots.REL_TOL)
+
+
+class TestGuessedBisection:
+    """Given a real margin, each bracket with positive ends guesses its edge from the
+    margin on its first tree of four levels or more, and tests the path of midpoints
+    the guess implies; every bracket still ends as the one-level bisection ends it."""
+
+    _compare = staticmethod(TestBisectPredicate._compare)
+
+    @staticmethod
+    def _draw(rng, size):
+        edges = TestBisectPredicate._edges(rng, size)
+        holds, fails, flip = TestBisectPredicate._brackets(rng, edges)
+        return edges, holds, fails, np.where(flip, -1.0, 1.0)
+
+    def test_smooth_margins_take_one_call_after_the_tree(self):
+        rng = np.random.default_rng(7)
+        for size in (1, 7, 60, 68):
+            edges, holds, fails, sign = self._draw(rng, size)
+            # linear margins, positive below each edge or above it, on brackets of any width
+            calls = self._compare(lambda x, i: sign[i] * (edges[i] - x), holds, fails)
+            assert len(calls) <= 2, calls  # levels of the tree, then every guessed path
+            # curved ones on brackets [a, 2a] of the doubling ladder
+            lows = 1e-12 * 2.0 ** rng.integers(0, 50, size)
+            edges = lows * rng.uniform(1.0, 2.0, size)
+            for margin in (
+                lambda x, i: np.log(edges[i]) - np.log(x),
+                lambda x, i: edges[i] / (1.0 + edges[i]) - x / (1.0 + x),
+                lambda x, i: np.exp(-x / edges[i]) - np.exp(-1.0),
+            ):
+                calls = self._compare(margin, lows, 2.0 * lows)
+                assert len(calls) <= 2, calls
+
+    def test_rough_and_non_monotone_margins_match_the_one_level_bisection(self):
+        rng = np.random.default_rng(8)
+        edges, holds, fails, sign = self._draw(rng, 60)
+        noise = rng.standard_normal(1 << 20)
+        margins = (
+            # a margin below rounding: noise on a tiny slope
+            lambda x, i: sign[i] * ((edges[i] - x) * 1e-9 + noise[x.view(np.int64) % noise.size]),
+            # steps between smooth stretches, a kink at each edge, and bits changing sign
+            lambda x, i: sign[i] * (edges[i] - x + 0.1 * edges[i] * (x > 1.01 * edges[i])),
+            lambda x, i: sign[i] * np.abs(edges[i] - x) * np.where(x < edges[i], 1.0, -3.0),
+            lambda x, i: ((x.view(np.int64) >> 20) % 3 != i % 2) - 0.5 + 1e-3 * x / edges[i],
+            # infinite beyond each edge, and at a third of the nodes
+            lambda x, i: sign[i] * np.where(x < edges[i], 1.0, -np.inf),
+            lambda x, i: np.where((x.view(np.int64) >> 7) % 3 == 0, np.inf, sign[i] * (edges[i] - x)),
+        )
+        for margin in margins:
+            self._compare(margin, holds, fails)
+
+    @pytest.mark.parametrize(
+        "wrong",
+        [
+            lambda guess, h, f: guess * (1.0 + 1e-3),
+            lambda guess, h, f: guess * (1.0 - 1e-7),
+            lambda guess, h, f: np.full_like(guess, np.nan),
+            lambda guess, h, f: 2.0 * f - h,  # beyond the failing end
+            lambda guess, h, f: np.full_like(guess, np.inf),
+        ],
+        ids=["1e-3 relative", "1e-7 relative", "NaN", "outside the bracket", "inf"],
+    )
+    def test_wrong_guesses_move_no_result(self, wrong, monkeypatch):
+        true = roots._guess
+        monkeypatch.setattr(roots, "_guess", lambda h, f, margin: wrong(true(h, f, margin), h, f))
+        rng = np.random.default_rng(9)
+        edges, holds, fails, sign = self._draw(rng, 60)
+        self._compare(lambda x, i: sign[i] * (edges[i] - x), holds, fails)
+        # brackets that use up their steps: 1e-300 to 1, edges near the small end
+        tiny = 10.0 ** -rng.uniform(250.0, 300.0, 30)
+        holds, fails = np.full(30, 1e-300), np.ones(30)
+        calls = self._compare(lambda x, i: tiny[i] - x, holds, fails)
+        assert all(values <= roots._CALL_WIDTH + roots._GUESS_WIDTH for values, _ in calls)
+
+    def test_guessed_paths_stay_within_the_guess_width(self, monkeypatch):
+        # 60 brackets from 1e-300 to 1, each guessed right at its edge: the paths to
+        # their ends take _MAX_STEPS - 4 steps each, more than one call holds
+        rng = np.random.default_rng(10)
+        tiny = 10.0 ** -rng.uniform(250.0, 300.0, 60)
+        monkeypatch.setattr(roots, "_guess", lambda h, f, margin: tiny)
+        calls = self._compare(lambda x, i: tiny[i] - x, np.full(60, 1e-300), np.ones(60))
+        assert calls[0] == (60 * 15, 60)  # four tree levels, which give every guess
+        assert all(values <= roots._GUESS_WIDTH for values, _ in calls[1:])
+        assert sum(values for values, _ in calls[1:]) == 60 * (roots._MAX_STEPS - 4)
+        assert len(calls) == 1 + -(-60 * (roots._MAX_STEPS - 4) // roots._GUESS_WIDTH)
+
+    def test_a_boolean_predicate_takes_no_guess(self, monkeypatch):
+        monkeypatch.setattr(roots, "_guess", None)  # never called
+        rng = np.random.default_rng(11)
+        edges, holds, fails, flip = self._draw(rng, 60)
+        self._compare(lambda x, i: (x < edges[i]) == (flip[i] > 0), holds, fails)

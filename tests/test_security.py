@@ -70,6 +70,40 @@ class TestSecretFractions:
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
+class TestSecretBounds:
+    """The bounds are the secret fractions before their clip at 0: a bound less a
+    margin is positive exactly where the fraction exceeds that margin."""
+
+    MARGINS = (0.0, 1e-12, 1e-3)
+
+    def test_ideal_bound_is_the_fraction_unclipped(self):
+        q = np.append(np.linspace(0.0, 0.5, 201), [QBER_THRESHOLD, security.qber_threshold()])
+        q = np.sort(q)
+        q = np.concatenate([q, np.nextafter(q, 0.0)[1:], np.nextafter(q, 1.0)[:-1]])
+        bound, fraction = security.secret_bound_ideal(q), security.secret_fraction_ideal(q)
+        assert np.array_equal(np.maximum(0.0, bound), fraction) and (bound < 0.0).any()
+        for margin in self.MARGINS:
+            assert np.array_equal(bound - margin > 0.0, fraction > margin)
+
+    def test_multiphoton_bound_keeps_the_sign_of_the_fraction_over_any_margin(self):
+        # y = 0, q > y, q = y and q = 0, on both sides of each
+        rng = np.random.default_rng(5)
+        q, y = rng.uniform(0.0, 0.5, 4000), rng.uniform(0.0, 1.0, 4000)
+        y[:500], y[500:1000], y[1000:1500] = 0.0, q[500:1000], np.nextafter(q[1000:1500], 0.0)
+        q[1500:2000], y[2000:2500] = 0.0, rng.uniform(0.0, 0.01, 500)
+        bound = security.secret_bound_multiphoton(q, y)
+        fraction = security.secret_fraction_multiphoton(q, y)
+        live = (y > 0.0) & (q <= y)
+        assert np.all(bound[~live] <= 0.0)
+        assert np.array_equal(np.maximum(0.0, bound)[live], fraction[live])
+        for margin in self.MARGINS:
+            assert np.array_equal(bound - margin > 0.0, fraction > margin)
+        for qi, yi in ((0.2, 0.1), (0.3, 0.0), (0.0, 0.0), (0.05, 0.5)):
+            one = security.secret_bound_multiphoton(qi, yi)
+            assert type(one) is np.float64
+            assert (one > 1e-12) == (security.secret_fraction_multiphoton(qi, yi) > 1e-12)
+
+
 class TestQberThreshold:
     def test_value(self):
         assert security.qber_threshold() == pytest.approx(QBER_THRESHOLD, abs=1e-8)

@@ -245,6 +245,57 @@ class TestNonGaussianDecision:
             )
 
 
+class TestMargins:
+    """Each witness margin is positive exactly where today's comparison flags, bit for
+    bit: at and one ulp around the boundary, where P_S passes 1/2 or the Gaussian
+    family's largest P_S, and at the ends of both."""
+
+    @staticmethod
+    def _points(bound, ps):
+        """P_C at, k * 2^-52 relative off and one ulp around each boundary value."""
+        offsets = np.array([s * k * 2.0**-52 for k in TestNonGaussianDecision.KS for s in (1, -1)])
+        pc = np.clip(bound[:, None] * (1.0 + offsets), 0.0, 1.0 - ps[:, None])
+        pc = np.concatenate([pc, np.nextafter(pc, 0.0), np.nextafter(pc, 1.0)], axis=1)
+        pc = np.minimum(pc, 1.0 - ps[:, None])
+        return np.broadcast_to(ps[:, None], pc.shape).ravel(), pc.ravel()
+
+    @staticmethod
+    def _single_clicks(top):
+        rng = np.random.default_rng(17)
+        edges = np.array([0.0, 1e-15, witness._SERIES_CUT, top, 0.5, 0.75, 1.0])
+        return np.concatenate(
+            [np.exp(rng.uniform(np.log(1e-15), 0.0, 500)), edges]
+            + [np.nextafter(edges, 0.0)[1:], np.nextafter(edges, 1.0)[:-1]]
+        )
+
+    def test_nonclassical_margin_is_positive_exactly_where_flagged(self):
+        ps = self._single_clicks(witness.ng_boundary_curve().p_single[-1])
+        ps, pc = self._points(witness.nc_boundary(np.minimum(ps, 0.5)), ps)
+        want = (ps > 0.5) | (pc < witness.nc_boundary(np.minimum(ps, 0.5)))
+        margin = witness.nonclassical_margin(stats(ps, pc))
+        assert np.array_equal(margin > 0.0, want) and want.any() and not want.all()
+        assert np.array_equal(witness.is_nonclassical(stats(ps, pc)), want)
+
+    def test_nongaussian_margin_is_positive_exactly_where_flagged(self):
+        top = witness.ng_boundary_curve().p_single[-1]
+        ps = self._single_clicks(top)
+        ps, pc = self._points(witness.ng_boundary(np.clip(ps, 0.0, top)), ps)
+        want = TestNonGaussianDecision.definition(ps, pc)
+        assert np.array_equal(witness.nongaussian_margin(stats(ps, pc)) > 0.0, want)
+        assert want.any() and not want.all()
+
+    def test_scalars_stay_scalars(self):
+        for margin in (witness.nonclassical_margin, witness.nongaussian_margin):
+            for ps, pc in ((1e-3, 0.0), (0.9, 0.05)):
+                got = margin(stats(ps, pc))
+                assert type(got) is np.float64 and got > 0.0
+
+    def test_nan_single_click_is_rejected(self):
+        for margin in (witness.nonclassical_margin, witness.nongaussian_margin):
+            with pytest.raises(ParameterDomainError):
+                margin(SimpleNamespace(p_single=math.nan, p_coincidence=0.0))
+
+
 class TestSimplifiedCriteria:
     def test_noiseless(self):
         assert ref.simplified_nc(0.1, 0.0)
