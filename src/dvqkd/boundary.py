@@ -77,7 +77,7 @@ def _t_ladder() -> np.ndarray:
 _T_LADDER = _t_ladder()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundaryPoint:
     T: float
     mu_max: float

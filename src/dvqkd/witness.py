@@ -23,20 +23,59 @@ from .errors import BoundaryDomainError, ParameterDomainError
 _SUM_TOL = 1e-10
 _NEG_CLAMP = -1e-12
 _EPS_FLOOR = 1e-6  # smallest 1-V in the curve grid; P_S reaches ~5e-7
-_NEWTON_STEPS = 8  # at most; from the table's Hermite start one step nearly always converges
-_NEWTON_TOL = 1e-8  # a Newton step this small leaves eps within ~1e-16
-NG_POINTS = 512  # grid points of the boundary table; above the series cut it brackets each query
-_SERIES_CUT = 0.04  # largest P_S read from the series; eps = 1 - V is ~0.072 there
-# c_3 ... c_30 of P_C = P_S^3 (c_3 + c_4 P_S + ...) on the boundary: the family's Taylor
-# series in eps, reverted to one in P_S at 60 digits (alternating, radius about 0.14)
-_SERIES = (
-    0.5, -1.1041666666666667, 5.34375, -24.034027777777776,
-    123.49791666666667, -663.489505828373, 3738.3333214492395, -21778.98989831349,
-    130449.25085849661, -799116.9039613198, 4988274.030809034, -31637628.02186024,
-    203417773.7404116, -1323478302.5828888, 8700554873.215836, -57723292839.96587,
-    386090279957.26135, -2601292532189.084, 17641541167475.645, -120353928076230.86,
-    825518224589118.9, -5690263396732306.0, 3.940028919315884e+16, -2.7394988884408627e+17,
-    1.9120925788478943e+18, -1.3393359821724223e+19, 9.41245556519099e+19, -6.635145325248747e+20,
+NG_POINTS = 512  # grid points of the boundary table, whose last row ends the boundary's domain
+_TURN = 0.5957263916197046  # P_S where the family turns, dP_S/deps = 0, at eps = 0.64450871885521
+# The boundary in pieces split at _EDGES: P_C / P_S^3 as a polynomial in P_S up to 0.4,
+# above it P_C as one in s = sqrt(_TURN - P_S), as the square-root branch point at the
+# turn stops every polynomial in P_S. Per piece, the interval of its variable (in s a
+# little wider than what it serves: 0.0135 is below s at the domain's top) and c_0 ...
+# c_16 of its polynomial in t in [-1, 1] across it: the family interpolated at 60 digits
+# on the Chebyshev nodes of t
+_EDGES = np.array([0.08, 0.2, 0.3, 0.4, 0.5557])
+_NEAR = 4  # the first piece in s
+_PIECES = (
+    ((0.0, 0.08), (
+        0.4631058000142278, -0.030684029579820533, 0.00532592323784984, -0.0007366912966869056,
+        0.00012252167601647376, -2.0577490764569618e-05, 3.6428359020291092e-06, -6.615025535162094e-07,
+        1.2329219326084036e-07, -2.343361004511713e-08, 4.5306409524172905e-09, -8.891027907768875e-10,
+        1.7655932010355658e-10, -3.487879998142215e-11, 7.0645044000465816e-12, -1.7644886494246708e-12,
+        3.6415211261083223e-13,
+    )),
+    ((0.08, 0.2), (
+        0.4115618113222399, -0.01924845494778284, 0.005580459083350475, -0.0005816563497664156,
+        0.000121982792663509, -1.7600526024587936e-05, 3.372656523586064e-06, -5.640698560873016e-07,
+        1.062222487638292e-07, -1.9109580946571464e-08, 3.6219122423323855e-09, -6.785613211534979e-10,
+        1.3029022030525453e-10, -2.468654979538382e-11, 4.802670975368552e-12, -1.1246505296190126e-12,
+        2.2192377748158264e-13,
+    )),
+    ((0.2, 0.3), (
+        0.39255789070318825, -0.0019389768216686914, 0.0028907551611451004, -1.882019549977698e-06,
+        2.9854269608971466e-05, 2.795881239598564e-07, 3.6396346797774444e-07, 8.03791734637023e-09,
+        4.921522129257426e-09, 1.763286656308883e-10, 7.158836986083136e-11, 3.547699140760485e-12,
+        1.1002460009139653e-12, 6.866728532403614e-14, 1.7613879055676524e-14, 1.4271847400259744e-15,
+        3.1547846257571934e-16,
+    )),
+    ((0.3, 0.4), (
+        0.4007402753860403, 0.010658530881032644, 0.003721735587668967, 0.00032204932004206667,
+        6.42630584854271e-05, 8.724964655359791e-06, 1.5399190187383269e-06, 2.4772397763328823e-07,
+        4.333841658170066e-08, 7.470960673720047e-09, 1.3281207293743953e-09, 2.3700225910678075e-10,
+        4.2890999909523575e-11, 7.732533133894292e-12, 1.4202037641218763e-12, 3.080089288776945e-13,
+        5.734884072271558e-14,
+    )),
+    ((0.2, 0.4425), (
+        0.056905698822580245, -0.03676225784675932, 0.006568866783483548, -0.00012508713823618242,
+        -1.0175245305281015e-05, -1.5782307219025317e-06, -2.1415874576527133e-07, -3.475746226774703e-08,
+        -5.644173351101569e-09, -9.745644805772797e-10, -1.7168715576594197e-10, -3.114997585530226e-11,
+        -5.752812421623985e-12, -1.068018239174567e-12, -2.0349812981127843e-13, -4.698618195025813e-14,
+        -9.195871679604549e-15,
+    )),
+    ((0.0135, 0.2001), (
+        0.14308879658650095, -0.04694451144513329, 0.0042078900864207834, -3.961125950511028e-05,
+        -7.04257973210146e-07, -1.5480741442394604e-07, -6.006314522904046e-09, -9.5666555377752e-10,
+        -5.68597841705094e-11, -7.55499571205285e-12, -5.70104390289392e-13, -5.994312078809037e-14,
+        -1.4405099065347992e-14, -8.46761825488543e-15, 6.712538662957555e-15, 2.63231326159056e-15,
+        -2.3074823466194977e-15,
+    )),
 )
 
 
@@ -106,16 +145,16 @@ def _libm(fn):
     return elementwise
 
 
-def _family(eps, log1p=np.log1p, expm1=np.expm1):
-    """Cancellation-safe (P_S, P_C, dP_S/deps) of the Gaussian family member at eps = 1 - V.
+def _family(eps, log1p, expm1):
+    """Cancellation-safe (P_S, P_C) of the Gaussian family member at eps = 1 - V.
 
     The defining pair fixes the two no-click probabilities R1 (one detector
     silent) and R2 (both silent); then P_S = 2 (R1 - R2) and
     P_C = 1 - 2 R1 + R2.  Both R's approach 1 for V -> 1, so the complements
     D = 1 - R = -expm1(a) are computed directly from log/expm1 forms: the
     absolute error then scales with D rather than with 1.  P_C still cancels
-    to a relative error of about 1.6e-15 / eps^2.  eps may be an array;
-    ``log1p`` and ``expm1`` are numpy's unless given.
+    to a relative error of about 1.6e-15 / eps^2.  eps may be an array, if
+    ``log1p`` and ``expm1`` take one.
     """
     v = 1.0 - eps
     n = n_of_v(eps)
@@ -124,10 +163,7 @@ def _family(eps, log1p=np.log1p, expm1=np.expm1):
     a1 = 0.5 * (lead - log1p(-eps + 3.0 * eps * eps / 16.0)) - n / (6.0 + 2.0 * v)
     a2 = 0.5 * lead - log1p(-0.5 * eps) - n / (2.0 + 2.0 * v)
     d1, d2 = -expm1(a1), -expm1(a2)
-    # dP_S/deps from D' = -(1 - D) a', where a1' = q / (2 (4 - eps)) and a2' = q / (2 (2 - eps))
-    q = (((9.0 * eps - 38.0) * eps + 42.0) * eps + 16.0) * eps - 32.0
-    slope = q / (v * (4.0 - 3.0 * eps)) ** 2 * ((1.0 - d1) / (4.0 - eps) - (1.0 - d2) / (2.0 - eps))
-    return 2.0 * (d2 - d1), 2.0 * d1 - d2, slope
+    return 2.0 * (d2 - d1), 2.0 * d1 - d2
 
 
 class NgCurve(NamedTuple):
@@ -136,7 +172,6 @@ class NgCurve(NamedTuple):
     eps: np.ndarray  # increasing; V = 1 - eps decreasing
     p_single: np.ndarray  # increasing along the kept branch
     p_coincidence: np.ndarray
-    slope: np.ndarray  # dP_S/deps
 
 
 @lru_cache(maxsize=4)
@@ -151,9 +186,9 @@ def ng_boundary_curve(num_points: int = NG_POINTS) -> NgCurve:
         raise ParameterDomainError(f"num_points must be >= 16, got {num_points}")
     # warped grid accumulating near V = 1, where the curve compresses to the origin
     eps_grid = np.geomspace(_EPS_FLOOR, 0.75, num_points)
-    ps, pc, slope = _family(eps_grid, _libm(math.log1p), _libm(math.expm1))
+    ps, pc = _family(eps_grid, _libm(math.log1p), _libm(math.expm1))
     valid = (ps > 0.0) & (pc > 0.0) & (pc < 1.0)
-    eps_grid, ps, pc, slope = eps_grid[valid], ps[valid], pc[valid], slope[valid]
+    eps_grid, ps, pc = eps_grid[valid], ps[valid], pc[valid]
     # keep the monotone lower branch, P_S rising from the V -> 1 end up to its turning
     # point, without the rows whose P_C falls back (rounding noise at the grid floor)
     turn = np.flatnonzero(np.diff(ps) <= 0.0)
@@ -161,78 +196,42 @@ def ng_boundary_curve(num_points: int = NG_POINTS) -> NgCurve:
     idx = np.flatnonzero(pc[:rising] >= np.maximum.accumulate(pc[:rising]))
     if idx.size < 2:
         raise BoundaryDomainError("degenerate non-Gaussianity boundary curve")
-    curve = NgCurve(eps_grid[idx], ps[idx], pc[idx], slope[idx])
+    curve = NgCurve(eps_grid[idx], ps[idx], pc[idx])
     for column in curve:  # every caller shares the cached arrays
         column.setflags(write=False)
     return curve
 
 
-def _boundary_eps(p_single, i):
-    """The family parameter eps = 1 - V at which the boundary reads P_C, for P_S in the span.
-
-    The rows i - 1 and i of the precomputed boundary curve bracket eps and
-    start it by cubic Hermite interpolation; Newton's method on P_S(eps)
-    then inverts to full precision, taking a bisection step whenever a
-    Newton step would leave the bracket.  Each element stops once its own
-    step is below ``_NEWTON_TOL``, and later steps run on the elements still
-    going alone, so its result does not depend on the others.  p_single and
-    i are 1-d.
-    """
-    curve = ng_boundary_curve(NG_POINTS)
-    lo, hi = curve.eps[i - 1], curve.eps[i]
-    width = curve.p_single[i] - curve.p_single[i - 1]
-    t = (p_single - curve.p_single[i - 1]) / width
-    u, d_lo, d_hi = 1.0 - t, width / curve.slope[i - 1], width / curve.slope[i]
-    x = u * u * ((1.0 + 2.0 * t) * lo + t * d_lo) + t * t * ((3.0 - 2.0 * t) * hi - u * d_hi)
-    # x, target, lo, hi: eps, P_S and bracket of the elements still going, at
-    # the indices live of eps (None while every element is)
-    target, live = p_single, None
-    for _ in range(_NEWTON_STEPS):  # P_S grows with eps on the kept branch
-        ps, _, slope = _family(x)
-        lo = np.where(ps < target, x, lo)
-        hi = np.where(ps > target, x, hi)
-        step = x - (ps - target) / slope
-        step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
-        going = np.logical_not(np.abs(step - x) <= _NEWTON_TOL * x)
-        if live is None:
-            eps = step
-        else:
-            eps[live] = step
-        if not np.any(going):
-            break
-        live = np.flatnonzero(going) if live is None else live[going]
-        x, target, lo, hi = step[going], target[going], lo[going], hi[going]
-    return eps
+_LO, _HI = np.array([interval for interval, _ in _PIECES]).T
+_CENTRE, _SCALE = 0.5 * (_LO + _HI), 2.0 / (_HI - _LO)
+_COEFFS = np.array([coeffs[::-1] for _, coeffs in _PIECES]).T.copy()  # row j: c_(16-j) per piece
 
 
 def _boundary(p_single):
     """ng_boundary without its checks, for P_S in [0, top] (a float or an array).
 
-    Up to ``_SERIES_CUT`` the series in P_S, by Horner's rule (multiply and
-    add only, so the bits do not depend on the CPU); above it
-    ``_boundary_eps`` and the family's P_C, whose cancellation stays below
-    about 5e-13 relative there.
+    One pass: each element's piece, its variable mapped to t in [-1, 1], and
+    Horner's rule on the gathered coefficients.  Only multiplies, adds and
+    one IEEE square root, so the bits do not depend on the CPU.
     """
     ps = np.asarray(p_single, dtype=float)
-    flat = ps.ravel()
-    acc = np.full_like(flat, _SERIES[-1])
-    for c in _SERIES[-2::-1]:
-        acc *= flat
+    piece = np.searchsorted(_EDGES, ps)
+    near = piece >= _NEAR
+    t = (np.where(near, np.sqrt(_TURN - ps), ps) - _CENTRE[piece]) * _SCALE[piece]
+    coeffs = _COEFFS.take(piece, axis=1)
+    acc = coeffs[0]  # a row of the gathered copy, or a scalar for a 0-d P_S
+    for c in coeffs[1:]:
+        acc *= t
         acc += c
-    pc = flat * flat * flat * acc
-    (high,) = np.nonzero(flat > _SERIES_CUT)
-    if high.size:
-        curve = ng_boundary_curve(NG_POINTS)
-        x = flat[high]
-        i = np.clip(np.searchsorted(curve.p_single, x), 1, curve.eps.size - 1)
-        pc[high] = _family(_boundary_eps(x, i))[1]
-    return pc.reshape(ps.shape)[()]
+    return np.where(near, acc, ps * ps * ps * acc)[()]
 
 
 def ng_boundary(p_single):
     """Maximal Gaussian-mixture coincidence deficit at the given P_S (a float or an array).
 
-    Defined from P_S = 0 up to the largest P_S of the family's kept branch.
+    Defined from P_S = 0 up to the last row of the ``ng_boundary_curve``
+    table, P_S = 0.595543864810335, short of the family's turning point at
+    0.59572639161970.
     """
     top = ng_boundary_curve(NG_POINTS).p_single[-1]
     if not _within(p_single, 0.0, 1.0):

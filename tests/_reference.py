@@ -389,7 +389,7 @@ def gaussian_boundary_point(v: float) -> NGBoundaryPoint:
     if not 0.0 < v < 1.0:
         raise ParameterDomainError(f"V must lie strictly inside (0, 1), got {v}")
     eps = 1.0 - v
-    ps, pc, _ = _family(eps)
+    ps, pc = _family(eps, math.log1p, math.expm1)
     return NGBoundaryPoint(v=v, n_of_v=n_of_v(eps), p_single=ps, p_coincidence=pc)
 
 

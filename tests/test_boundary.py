@@ -485,7 +485,7 @@ class TestFrozenNonGaussianSweeps:
     """Seeded 60-point non-Gaussian sweeps reproduce their recorded mu_max bit for bit.
 
     The one-level reference search cannot check the witness, since it calls
-    the same one.  Above P_S = 0.04 the boundary's P_C is read on numpy's
+    the same one.  The models' click statistics read numpy's exp and expm1
     kernels, which these pin across CPUs.  Every recorded point brackets the
     edge of the strict comparison against a 60-digit mpmath boundary within
     4e-6 relative, including the weak-light points down to P_S ~ 1e-12.

@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -174,8 +175,8 @@ class TestNonGaussianDecision:
     """is_nongaussian is the strict comparison against ng_boundary, bit for bit.
 
     The P_C offered sit at and around the boundary itself, k * 2^-52 relative
-    off it and one ulp to either side of that, on both sides of the series cut
-    and of the table rows that bracket the Newton inversion above it.
+    off it and one ulp to either side of that, on both sides of every piece
+    edge and of every row of the table, whose last row ends the domain.
     """
 
     KS = (0, 1, 2, 3, 10, 100, 1e3, 1e6, 1e9)
@@ -187,10 +188,10 @@ class TestNonGaussianDecision:
 
     def test_matches_the_comparison_against_ng_boundary(self):
         curve = witness.ng_boundary_curve()
-        table, top, cut = curve.p_single, curve.p_single[-1], witness._SERIES_CUT
+        table, top = curve.p_single, curve.p_single[-1]
         rng = np.random.default_rng(20161)
         spread = np.exp(rng.uniform(np.log(1e-15), np.log(top), 2000))
-        edges = np.array([0.0, 1e-15, cut, top])
+        edges = np.array([0.0, 1e-15, *witness._EDGES, top])
         ps = np.concatenate(
             [spread, table, np.nextafter(table, 0.0), np.nextafter(table, 1.0)]
             + [edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)]
@@ -216,7 +217,7 @@ class TestNonGaussianDecision:
             1e-3,
             0.6,
             1e-7,
-            witness._SERIES_CUT,
+            *witness._EDGES.tolist(),
         ],
     )
     @pytest.mark.parametrize("form", ["float", "0-d", "1-d"])
@@ -262,7 +263,7 @@ class TestMargins:
     @staticmethod
     def _single_clicks(top):
         rng = np.random.default_rng(17)
-        edges = np.array([0.0, 1e-15, witness._SERIES_CUT, top, 0.5, 0.75, 1.0])
+        edges = np.array([0.0, 1e-15, *witness._EDGES, top, 0.5, 0.75, 1.0])
         return np.concatenate(
             [np.exp(rng.uniform(np.log(1e-15), 0.0, 500)), edges]
             + [np.nextafter(edges, 0.0)[1:], np.nextafter(edges, 1.0)[:-1]]
@@ -343,9 +344,8 @@ class TestDetectorDarkCounts:
         assert out.p_single + out.p_coincidence + out.p_none == pytest.approx(1.0, abs=1e-12)
 
 
-# the end of the kept branch: ng_boundary answers for P_S up to the last table point
-_CURVE = witness.ng_boundary_curve()
-_LAST_EPS, _LAST_PS = float(_CURVE.eps[-1]), float(_CURVE.p_single[-1])
+# the end of the domain: ng_boundary answers for P_S up to the last table point
+_TOP = float(witness.ng_boundary_curve().p_single[-1])
 
 
 def _mp_family(eps):
@@ -358,66 +358,94 @@ def _mp_family(eps):
     return 2 * (r1 - r2), 1 - 2 * r1 + r2
 
 
-def _ng_boundary_reference(p_s: float):
-    """P_C of the Gaussian family at the given P_S, by a 60-digit inversion of its P_S."""
+@lru_cache(maxsize=1)
+def _turning_eps():
+    """eps at the family's turning point, where dP_S/deps = 0, at 60 digits."""
     with mp.workdps(60):
-        target, lo, hi = mpf(p_s), mpf(0), mpf(_LAST_EPS)
-        for _ in range(80):  # P_S rises with eps on the kept branch
-            mid = (lo + hi) / 2
-            lo, hi = (mid, hi) if _mp_family(mid)[0] < target else (lo, mid)
-        eps = findroot(lambda x: _mp_family(x)[0] - target, (lo, hi), solver="secant")
-        return _mp_family(eps)[1]
+        return findroot(lambda e: mp.diff(lambda x: _mp_family(x)[0], e), mpf("0.6445"))
 
 
-_CUT = witness._SERIES_CUT
+def _mp_boundary(p_s):
+    """P_C of the Gaussian family at P_S (an mpf), by inverting P_S on the kept branch."""
+    lo, hi = mpf(0), _turning_eps()
+    for _ in range(80):  # P_S rises with eps on the kept branch
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if _mp_family(mid)[0] < p_s else (lo, mid)
+    eps = findroot(lambda x: _mp_family(x)[0] - p_s, (lo, hi), solver="secant")
+    return _mp_family(eps)[1]
+
+
+def _ng_boundary_reference(p_s: float):
+    """P_C of the Gaussian family at the given P_S, with 60 digits left after the
+    defining pair cancels to P_C ~ P_S^3 / 2."""
+    with mp.workdps(60 - 3 * min(0, math.floor(math.log10(p_s)))):
+        return _mp_boundary(mpf(p_s))
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.floats(min_value=-15.0, max_value=math.log10(_LAST_PS)).map(
-        lambda k: min(10.0**k, _LAST_PS)
-    )
+    st.floats(min_value=-15.0, max_value=math.log10(_TOP)).map(lambda k: min(10.0**k, _TOP))
 )
 @example(1e-15)
 @example(5.000007500005834e-07)  # the first P_S of the ng-curve table
 @example(1e-3)
 @example(1e-2)
-@example(_CUT)
-@example(float(np.nextafter(_CUT, 1.0)))
+@example(0.04)
 @example(0.1)
-@example(_LAST_PS)
+@example(_TOP)
+@example(float(np.nextafter(_TOP, 0.0)))
+@example(float(witness._EDGES[0]))
+@example(float(np.nextafter(witness._EDGES[0], 1.0)))
+@example(float(witness._EDGES[1]))
+@example(float(np.nextafter(witness._EDGES[1], 1.0)))
+@example(float(witness._EDGES[2]))
+@example(float(np.nextafter(witness._EDGES[2], 1.0)))
+@example(float(witness._EDGES[3]))
+@example(float(np.nextafter(witness._EDGES[3], 1.0)))
+@example(float(witness._EDGES[4]))
+@example(float(np.nextafter(witness._EDGES[4], 1.0)))
 def test_ng_boundary_against_mpmath(p_s):
-    # the series up to the cut; above it the family's P_C, which cancels to at most ~5e-13
     want = _ng_boundary_reference(p_s)
-    tol = 1e-15 if p_s <= _CUT else 1e-12
-    assert abs(witness.ng_boundary(p_s) - want) <= tol * want
+    assert abs(witness.ng_boundary(p_s) - want) <= 1e-15 * want
 
 
-def test_series_is_the_reverted_family():
-    # P_S(eps) and P_C(eps) to order 30 at 60 digits; eps(P_S) by Lagrange inversion,
-    # [P_S^n] eps = [w^(n-1)] (w / P_S(w))^n / n; the boundary is P_C(eps(P_S))
-    order = 30
-
-    def times(a, b):  # product of two series, truncated after the given order
-        return [sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(order + 1)]
-
+def test_turning_point_literal():
     with mp.workdps(60):
-        ps = mp.taylor(lambda e: _mp_family(e)[0], 0, order + 1)
-        pc = mp.taylor(lambda e: _mp_family(e)[1], 0, order)
-        # h = w / P_S(w), from P_S(w) / w = ps[1] + ps[2] w + ...
-        h = [1 / ps[1]]
-        for k in range(1, order + 1):
-            h.append(-sum(ps[j + 1] * h[k - j] for j in range(1, k + 1)) / ps[1])
-        eps, power = [mpf(0)], [mpf(1)] + [mpf(0)] * order
-        for n in range(1, order + 1):
-            power = times(power, h)
-            eps.append(power[n - 1] / n)
-        boundary, power = [mpf(0)] * (order + 1), [mpf(1)] + [mpf(0)] * order
-        for j in range(1, order + 1):
-            power = times(power, eps)
-            boundary = [b + pc[j] * x for b, x in zip(boundary, power)]
-    assert max(abs(c) for c in boundary[:3]) < 1e-50
-    assert tuple(float(c) for c in boundary[3:]) == witness._SERIES
+        turn = _mp_family(_turning_eps())[0]
+    assert float(turn) == witness._TURN
+    assert float(_turning_eps()) == pytest.approx(0.64450871885521, abs=1e-14)
+
+
+def _piece_coefficients(k):
+    """c_0 ... c_16 of piece k: the polynomial in t through the family's P_C / P_S^3
+    (or P_C, in s) at the Chebyshev nodes of t in [-1, 1], solved at 60 digits."""
+    size = witness._COEFFS.shape[0]
+    centre, scale = mpf(float(witness._CENTRE[k])), mpf(float(witness._SCALE[k]))
+    with mp.workdps(60):
+        nodes = [mp.cos(mp.pi * (j + mpf(1) / 2) / size) for j in range(size)]
+        values = []
+        for t in nodes:
+            x = centre + t / scale
+            if k >= witness._NEAR:
+                values.append(_mp_boundary(mpf(witness._TURN) - x * x))
+            else:
+                values.append(_mp_boundary(x) / x**3)
+        vandermonde = mp.matrix([[t**j for j in range(size)] for t in nodes])
+        return tuple(float(c) for c in mp.lu_solve(vandermonde, values))
+
+
+@pytest.mark.parametrize("k", range(len(witness._PIECES)))
+def test_piece_is_the_family_at_60_digits(k):
+    assert _piece_coefficients(k) == witness._PIECES[k][1]
+
+
+def test_pieces_cover_the_domain():
+    # each piece's variable spans what the P_S it serves map to, the last one up to the top
+    lo = np.concatenate([[0.0], witness._EDGES])
+    hi = np.concatenate([witness._EDGES, [_TOP]])
+    x_lo = np.where(np.arange(lo.size) >= witness._NEAR, np.sqrt(witness._TURN - hi), lo)
+    x_hi = np.where(np.arange(lo.size) >= witness._NEAR, np.sqrt(witness._TURN - lo), hi)
+    assert np.all(witness._LO <= x_lo) and np.all(x_hi <= witness._HI)
 
 
 def test_boundaries_agree_with_direct_equation_solve():
