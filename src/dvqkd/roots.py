@@ -1,16 +1,16 @@
-"""Bracketed bisection helpers.
+"""Bracketed bisection of predicate edges.
 
-Bisection is used everywhere a root or a predicate boundary is needed:
-it is slower than derivative-based methods but its convergence on a
-sign-changing bracket is unconditional, which matters for the entropy
-equations whose derivatives blow up at the bracket edges.  A predicate call
-costs much the same for one element as for a thousand, so
-``bisect_predicate`` tests several bisection levels of every bracket per call,
-and many halvings of a bracket with one end at 0.  Given a real margin in
-place of the predicate, it reads a guess of each edge off the margin's values
-on a bracket's tree, then tests in one call every midpoint the bisection
-would visit if the edge were there, and keeps those the predicate confirms:
-the guess saves calls, never moves a result.
+Bisection serves the edges of the criteria, which are predicates: a margin
+may stand in for one, but only its sign decides, and bisection converges on
+any bracket whose ends disagree.  (The security thresholds are smooth convex
+roots and take Newton steps in ``security``.)  A predicate call costs much
+the same for one element as for a thousand, so ``bisect_predicate`` tests
+several bisection levels of every bracket per call, and many halvings of a
+bracket with one end at 0.  Given a real margin in place of the predicate,
+it reads a guess of each edge off the margin's values on a bracket's tree,
+then tests in one call every midpoint the bisection would visit if the edge
+were there, and keeps those the predicate confirms: the guess saves calls,
+never moves a result.
 """
 
 from __future__ import annotations
@@ -20,9 +20,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InfeasibleError
-
-XTOL = 1e-9  # absolute bracket width of bisect_root
 REL_TOL = 1e-6  # relative bracket width of bisect_predicate
 _MAX_STEPS = 200  # stops a bracket that cannot shrink relatively (an end at 0)
 _CALL_WIDTH = 1024  # predicate elements per call, unless more brackets are live
@@ -30,33 +27,6 @@ _GUESS_WIDTH = 4096  # guessed-path values per call, unless more brackets are gu
 _GUESS_DEPTH = 4  # tree levels, so 15 nodes, of a margin that give a bracket its guess
 _STENCIL = 12  # nodes of the polynomial whose root is the guess
 _FIT_TOL = 1e-6  # largest miss of that polynomial next to its nodes, relative to the margin
-
-
-def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Root of f on [lo, hi] by bisection to absolute tolerance ``XTOL``.
-
-    Raises InfeasibleError if f(lo) and f(hi) have the same sign.
-    """
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise InfeasibleError(f"no sign change on [{lo:g}, {hi:g}]")
-    for _ in range(_MAX_STEPS):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0.0) == (flo > 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-        if hi - lo <= XTOL:
-            break
-    return 0.5 * (lo + hi)
 
 
 def wide(holds, fails):

@@ -10,14 +10,17 @@ The entropy and the secret fractions take floats or numpy arrays alike.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import InfeasibleError, ParameterDomainError
-from .roots import bisect_root
 from .witness import _within
+
+_LOG2E = 1.0 / math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -33,8 +36,9 @@ class KeyRateResult:
 def binary_entropy(q: float) -> float:
     """Shannon entropy of a bit with bias q, in bits; H(0) = H(1) = 0 by continuity."""
     _check_range("entropy argument", q, 1.0)
-    # at q = 0 or 1 the logarithm of the vanishing factor reads log2(1) = 0, not log2(0)
-    return -q * np.log2(q + (q == 0.0)) - (1.0 - q) * np.log2(1.0 - q + (q == 1.0))
+    # at q = 0 or 1 the logarithm of the vanishing factor reads log(1) = 0, not log(0);
+    # log1p keeps log(1 - q) accurate for small q, where 1 - q rounds
+    return (q * np.log(q + (q == 0.0)) + (1.0 - q) * np.log1p((q == 1.0) - q)) * -_LOG2E
 
 
 def _check_range(name: str, value, top: float) -> None:
@@ -81,34 +85,52 @@ def secret_fraction_multiphoton(q: float, y: float) -> float:
 
 @lru_cache(maxsize=1)
 def qber_threshold() -> float:
-    """QBER at which the ideal-source secret fraction vanishes (~0.110028)."""
+    """QBER at which the ideal-source secret fraction vanishes (~0.110028).
+
+    Newton's method on g(q) = 1 - 2H(q), whose step q - g(q) / g'(q) simplifies to
+    (1 + 2 log2(1 - q)) / (2 log2(1/q - 1)), a form that cancels nowhere on (0, 1/2).
+    g is convex and decreasing there, so from q = 0.1, where g > 0, each step rises
+    toward the root without passing it; the first step that does not rise ends it.
+    """
     return _compute_qber_threshold()
 
 
 def _compute_qber_threshold() -> float:
-    return bisect_root(lambda q: 1.0 - 2.0 * binary_entropy(q), 1e-12, 0.5 - 1e-12)
+    q, step = 0.0, 0.1
+    while step > q:
+        q = step
+        step = (1.0 + 2.0 * math.log1p(-q) * _LOG2E) / (2.0 * math.log2(1.0 / q - 1.0))
+    return q
 
 
 def y_threshold(e: float) -> float:
     """Minimal single-photon fraction compatible with security at depolarization e.
 
-    Solves y [1 - H(e / (2y))] = H(e / 2) for y in (e/2, 1].  At e = 0 the
-    equation degenerates to y = 0; the limiting value 0 is returned.  For
-    e >= 2 * qber_threshold() no y <= 1 solves it and the problem is infeasible.
+    Solves f(y) = y [1 - H(x)] - H(e/2) = 0, with x = e / (2y), for y in (e, 1).  At
+    e = 0 the equation degenerates to y = 0; the limiting value 0 is returned.  For
+    e >= 2 * qber_threshold(), f(1) = 1 - 2H(e/2) <= 0: no y < 1 solves it and the
+    problem is infeasible.  Subnormal e is refused: e / 2 loses its digits there.
+
+    Newton's method from y = 1: f'(y) = 1 + log2(1 - x), and the step simplifies to
+    y <- (H(e/2) + (e/2) log2(1/x - 1)) / (1 + log2(1 - x)), with no cancellation.
+    f is convex, and increasing above y = e, where f(e) = -H(e/2) < 0, so the root
+    lies above e and each step falls toward it without passing it; the first step
+    that does not fall ends it.  Below 2 Q_th the root is below 1, so a root that
+    rounds to 1 reads as the float just below it.
     """
-    if e < 0.0 or e > 1.0:
-        raise ParameterDomainError(f"depolarization probability must be in [0, 1], got {e}")
+    _check_range("depolarization probability", e, 1.0)
     if e == 0.0:
         return 0.0
-
-    h_half = binary_entropy(e / 2.0)
-
-    def f(y: float) -> float:
-        return y * (1.0 - binary_entropy(min(e / (2.0 * y), 1.0))) - h_half
-
-    lo = e / 2.0 + 1e-15
-    if f(1.0) <= 0.0:
-        raise InfeasibleError(
-            f"no single-photon fraction <= 1 is secure at depolarization e={e:g}"
+    if e < sys.float_info.min:
+        raise ParameterDomainError(
+            f"depolarization probability must be 0 or at least {sys.float_info.min:g}, got {e}"
         )
-    return bisect_root(f, lo, 1.0)
+    if e >= 2.0 * qber_threshold():
+        raise InfeasibleError(f"no single-photon fraction < 1 is secure at depolarization e={e:g}")
+    half = 0.5 * e
+    h_half = float(binary_entropy(half))
+    y, step = math.inf, 1.0
+    while step < y:
+        y, x = step, e / (2.0 * step)
+        step = (h_half + half * math.log2(1.0 / x - 1.0)) / (1.0 + math.log1p(-x) * _LOG2E)
+    return min(y, math.nextafter(1.0, 0.0))

@@ -15,6 +15,7 @@ from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
+from mpmath import mp, mpf
 
 from dvqkd import boundary, channel
 from dvqkd import photon_stats as ps
@@ -391,6 +392,38 @@ def gaussian_boundary_point(v: float) -> NGBoundaryPoint:
     eps = 1.0 - v
     ps, pc = _family(eps, math.log1p, math.expm1)
     return NGBoundaryPoint(v=v, n_of_v=n_of_v(eps), p_single=ps, p_coincidence=pc)
+
+
+_THRESHOLD_DIGITS = 50
+
+
+def binary_entropy_mp(q) -> mpf:
+    """H(q) in bits at ``_THRESHOLD_DIGITS`` digits; log1p keeps the (1 - q) term
+    where 1 - q would round to 1."""
+    with mp.workdps(_THRESHOLD_DIGITS):
+        q = mpf(q)
+        return (-q * mp.log(q) - (1 - q) * mp.log1p(-q)) / mp.log(2)
+
+
+def qber_threshold_mp() -> mpf:
+    """The root of 1 - 2 H(q) on (0, 1/2), by mpmath's secant solver from 0.11."""
+    with mp.workdps(_THRESHOLD_DIGITS):
+        return mp.findroot(lambda q: 1 - 2 * binary_entropy_mp(q), mpf("0.11"))
+
+
+def y_threshold_mp(e: float) -> mpf:
+    """The root y in (e, 1) of y [1 - H(e / 2y)] = H(e / 2), for 0 < e < 2 Q_th, by
+    bisection on a geometric scale to 1e-30 relative: the root spans 300 decades."""
+    with mp.workdps(_THRESHOLD_DIGITS):
+        e = mpf(e)
+        lo, hi, h_half = e, mpf(1), binary_entropy_mp(e / 2)
+        while hi / lo - 1 > mpf("1e-30"):
+            mid = mp.sqrt(lo * hi)
+            if mid * (1 - binary_entropy_mp(e / (2 * mid))) > h_half:
+                hi = mid
+            else:
+                lo = mid
+        return lo
 
 
 def bisect_predicate_one_level(pred: Callable, holds, fails) -> tuple:

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import _reference as ref
-from dvqkd import boundary, channel, noise_before, roots, spdc, thermal_bath, witness
-from dvqkd.errors import ParameterDomainError
+from dvqkd import boundary, channel, noise_before, roots, security, spdc, thermal_bath, witness
+from dvqkd.errors import InfeasibleError, ParameterDomainError
 
 
 def tb_params(p=1.0, T=0.1, mu=0.0, e=0.0, d=0.0):
@@ -785,6 +785,24 @@ class TestAnalyticFormulas:
         assert boundary.t_min_ideal_source(0.0, 0.0, 1e-3) == math.inf
         assert boundary.t_min_spdc_rare_pairs(0.3, 1e-3) == math.inf
         assert boundary.t_min_spdc_bright_pairs(0.3, 1e-2) == math.inf
+
+    def test_one_infeasibility_rule_at_twice_the_qber_threshold(self):
+        # inf at and above 2 Q_th and a finite value below it, for the floats next to it,
+        # even where the root y_th rounds to 1
+        edge = 2.0 * security.qber_threshold()
+        below, above = [edge], [edge]
+        for _ in range(4):
+            below.append(math.nextafter(below[-1], 0.0))
+            above.append(math.nextafter(above[-1], 1.0))
+        for e in below[1:]:
+            assert 0.0 < security.y_threshold(e) < 1.0
+            assert math.isfinite(boundary.t_min_spdc_bright_pairs(e, 1e-3))
+            assert math.isfinite(boundary.t_min_ideal_source(1.0, e, 1e-3))
+        for e in above:
+            with pytest.raises(InfeasibleError):
+                security.y_threshold(e)
+            assert boundary.t_min_spdc_bright_pairs(e, 1e-3) == math.inf
+            assert boundary.t_min_ideal_source(1.0, e, 1e-3) == math.inf
 
     def test_scalings(self):
         assert boundary.mu_max_nc_thermal_bath(0.5, 0.01) == pytest.approx(

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dvqkd import cli
+from dvqkd import cli, security
 from dvqkd.roots import REL_TOL
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
@@ -155,6 +156,17 @@ class TestTmin:
         assert float(record["t_min_numeric"]) == pytest.approx(5e-3, rel=0.1)
         assert float(record["t_min_nongaussian"]) == pytest.approx(5e-3, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "e", ["1e-17", "1e-300", repr(math.nextafter(2.0 * security.qber_threshold(), 0.0))]
+    )
+    def test_spdc_bright_pairs_at_tiny_and_near_threshold_depolarization(self, capsys, e):
+        # y_th(1e-17) = 3.3e-16; the last e is the float just below 2 Q_th, where y_th
+        # rounds to 1
+        code, out, _ = run(capsys, "tmin", "--model", "spdc", "--nu", "1e-3", "--e", e, "--d", "0")
+        assert code == 0
+        header, row = [line.split(",") for line in out.strip().split("\n")]
+        assert math.isfinite(float(dict(zip(header, row))["t_min_bright_pairs"]))
+
 
 class TestMcValidate:
     def test_sigma_distances_small(self, capsys):
@@ -246,11 +258,14 @@ def _readme_examples():
 # stopped refining P_S at 1e-10 absolute before its Newton inversion (60 digits).
 # sweep: the non-Gaussian mu_max that moved with that inversion, against the
 # 50-digit boundary (thermal-bath P_C equal to the Gaussian family's P_C at the
-# same P_S), within the solver's relative bracket width REL_TOL.
+# same P_S), within the solver's relative bracket width REL_TOL.  tmin: the
+# closed form d (1 - 2 Q_th) / Q_th read a QBER threshold bisected to 1e-9
+# absolute (40 digits).
 CORRECTED = {
     ("point", 1, "p_coincidence"): (1.24020594287e-08, 1e-8),
     ("point", 1, "omega2plus"): (2.48040983696e-08, 1e-8),
     ("witness", 1, "ng_boundary"): (4.98901153172e-10, 1e-8),
+    ("tmin", 1, "t_min_analytic"): (7.08860682796e-03, 1e-8),
     ("sweep", 121, "mu_max"): (5.0005209625e-09, REL_TOL),
     ("sweep", 122, "mu_max"): (6.83307392113e-09, REL_TOL),
     ("sweep", 124, "mu_max"): (1.27591560415e-08, REL_TOL),

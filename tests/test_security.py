@@ -1,8 +1,12 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _reference as ref
 from dvqkd import security
 from dvqkd.errors import InfeasibleError, ParameterDomainError
 
@@ -20,6 +24,15 @@ class TestBinaryEntropy:
 
     def test_half_bit_point(self):
         assert security.binary_entropy(QBER_THRESHOLD) == pytest.approx(0.5, abs=1e-8)
+
+    def test_against_mpmath(self):
+        # log-uniform over the normal floats of (0, 1/2], where no term cancels
+        rng = np.random.default_rng(11)
+        q = np.append(10.0 ** rng.uniform(-307.6, math.log10(0.5), 400), [sys.float_info.min, 0.5])
+        got = security.binary_entropy(q)
+        for qi, hi in zip(q, got):
+            want = ref.binary_entropy_mp(qi)
+            assert abs(hi - want) <= 1e-15 * want, qi
 
     def test_domain(self):
         with pytest.raises(ParameterDomainError):
@@ -106,8 +119,9 @@ class TestSecretBounds:
 
 class TestQberThreshold:
     def test_value(self):
-        assert security.qber_threshold() == pytest.approx(QBER_THRESHOLD, abs=1e-8)
-        assert 0.1095 <= security.qber_threshold() <= 0.1105
+        value = security.qber_threshold()
+        assert type(value) is float
+        assert abs(value - ref.qber_threshold_mp()) <= 2.0 * math.ulp(value)
 
     def test_root_properties(self):
         root = security.qber_threshold()
@@ -140,6 +154,23 @@ class TestYThreshold:
         with pytest.raises(InfeasibleError):
             security.y_threshold(2.0 * security.qber_threshold() + 0.001)
 
+    def test_against_mpmath(self):
+        rng = np.random.default_rng(12)
+        top = 2.0 * security.qber_threshold()
+        es = 10.0 ** rng.uniform(-15.0, math.log10(top), 60)
+        edges = [sys.float_info.min, 1e-300, 1e-17, 0.22, math.nextafter(top, 0.0)]
+        for e in [*es, *edges]:
+            y = security.y_threshold(float(e))
+            assert type(y) is float
+            want = ref.y_threshold_mp(e)
+            assert abs(y - want) <= 1e-14 * want, e
+
     def test_domain(self):
-        with pytest.raises(ParameterDomainError):
-            security.y_threshold(-0.1)
+        for e in (-0.1, 1.5, math.nan):
+            with pytest.raises(ParameterDomainError, match="depolarization probability"):
+                security.y_threshold(e)
+
+    def test_subnormal_depolarization_is_refused(self):
+        for e in (5e-324, 1e-320, math.nextafter(sys.float_info.min, 0.0)):
+            with pytest.raises(ParameterDomainError, match="depolarization probability"):
+                security.y_threshold(e)
