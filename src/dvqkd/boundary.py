@@ -157,15 +157,11 @@ def _search_mu_max(margin: Callable, ts: np.ndarray) -> tuple[np.ndarray, np.nda
     on a bracket's first tree levels guess the edge, and the next call tests the
     path the guess implies.  A margin that is only a boolean works too, unguessed.
     """
-
-    def pred(mu, T):
-        return margin(mu, T) > 0.0
-
     first = np.full(ts.size, _LADDER.size)  # each point's first failing rung, if any
     which, rung = np.arange(ts.size), 0  # still climbing, next rung to test
     while which.size and rung < _LADDER.size:
         rungs = _LADDER[rung : rung + max(1, _LADDER_WIDTH // which.size)]
-        ok = pred(np.tile(rungs, which.size), np.repeat(ts[which], rungs.size))
+        ok = margin(np.tile(rungs, which.size), np.repeat(ts[which], rungs.size)) > 0.0
         ok = ok.reshape(which.size, rungs.size)
         stop = ~ok.all(axis=1)
         first[which[stop]] = rung + np.argmin(ok[stop], axis=1)
@@ -232,8 +228,7 @@ def mu_max_security_noise_before(p: float, e: float) -> float:
 
 def mu_max_security_spdc(e: float, T: float) -> float:
     """Security boundary of the heralded-source model for nu << T << 1, d = 0."""
-    qth = qber_threshold()
-    return max(0.0, (2.0 * qth - e) * T / (2.0 * (1.0 - 2.0 * qth)))
+    return mu_max_security_thermal_bath(1.0, e, T)
 
 
 def mu_max_nc_thermal_bath(p: float, T: float) -> float:
@@ -253,11 +248,11 @@ def mu_max_ng_noise_before(p: float, T: float) -> float:
 
 
 def mu_max_nc_spdc(T: float) -> float:
-    return T / math.sqrt(2.0)
+    return mu_max_nc_thermal_bath(1.0, T)
 
 
 def mu_max_ng_spdc(T: float) -> float:
-    return 0.5 * T * T
+    return mu_max_ng_thermal_bath(1.0, T)
 
 
 def t_min_ideal_source(p: float, e: float, d: float) -> float:

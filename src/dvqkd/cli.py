@@ -1,8 +1,9 @@
 """Boundary sweeps, point evaluations, witness queries and MC validation.
 
-Output is CSV (RFC-4180 style, LF endings) or JSON; all floats are printed
-with nine significant digits in scientific notation so that repeated runs
-with the same configuration are byte-identical.
+Output is CSV (RFC-4180 style, LF endings), every float with nine significant
+digits in scientific notation, or JSON, finite floats in full precision and the
+others, which JSON has no token for, as their CSV text ("nan", "inf", "-inf").
+Repeated runs with the same configuration are byte-identical.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -33,9 +35,6 @@ _CRITERION_ALIASES = {
     "ng": boundary.NONGAUSSIAN,
     "nongaussian": boundary.NONGAUSSIAN,
 }
-
-SWEEP_HEADER = "model,criterion,T,mu_max,feasible"
-
 
 class _CliError(Exception):
     pass
@@ -123,15 +122,17 @@ def _make_params(args: argparse.Namespace, t: float, mu: float):
     return params_type(**{f.name: values[f.name] for f in dataclasses.fields(params_type)})
 
 
-def _emit(rows: list[dict], header: list[str], args: argparse.Namespace) -> None:
+def _emit(rows: list[dict], args: argparse.Namespace) -> None:
+    """Writes the rows, which share the first row's keys: as CSV under a header of
+    those keys, or as JSON with the arguments as ``meta``."""
     if args.format == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_cell(row[h]) for h in header))
+        lines = [",".join(rows[0])] + [",".join(map(_cell, row.values())) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
-        meta = {k: v for k, v in sorted(vars(args).items()) if k not in ("out", "format")}
-        text = json.dumps({"meta": meta, "rows": rows}, indent=2, default=_cell) + "\n"
+        meta = {k: _json(v) for k, v in sorted(vars(args).items()) if k not in ("out", "format")}
+        rows = [{k: _json(v) for k, v in row.items()} for row in rows]
+        payload = {"meta": meta, "rows": rows}
+        text = json.dumps(payload, indent=2, default=_cell, allow_nan=False) + "\n"
     if args.out:
         try:
             with open(args.out, "w", newline="") as fh:
@@ -150,6 +151,11 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _json(value):
+    """A JSON value as it is, a non-finite float as its CSV text."""
+    return _cell(value) if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     criteria = []
     for name in args.criteria.split(","):
@@ -164,7 +170,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for criterion in sorted(set(criteria), key=boundary.CRITERIA.index)
         for pt in boundary.sweep(params, criterion, t_grid).points
     ]
-    _emit(rows, SWEEP_HEADER.split(","), args)
+    _emit(rows, args)
     return EXIT_OK if any(row["feasible"] for row in rows) else EXIT_ALL_INFEASIBLE
 
 
@@ -189,7 +195,7 @@ def _cmd_point(args: argparse.Namespace) -> int:
         "nonclassical": bool(witness.is_nonclassical(clicks)),
         "nongaussian": bool(witness.is_nongaussian(clicks)),
     }
-    _emit([row], list(row.keys()), args)
+    _emit([row], args)
     return EXIT_OK
 
 
@@ -205,7 +211,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         )
         row["nonclassical"] = bool(witness.is_nonclassical(stats))
         row["nongaussian"] = bool(witness.is_nongaussian(stats))
-    _emit([row], list(row.keys()), args)
+    _emit([row], args)
     return EXIT_OK
 
 
@@ -223,7 +229,7 @@ def _cmd_tmin(args: argparse.Namespace) -> int:
         row["t_min_rare_pairs"] = boundary.t_min_spdc_rare_pairs(args.e, args.d)
         row["t_min_bright_pairs"] = boundary.t_min_spdc_bright_pairs(args.e, args.nu)
         row["t_min_nongaussian"] = boundary.t_min_ng_spdc(args.nu)
-    _emit([row], list(row.keys()), args)
+    _emit([row], args)
     return EXIT_OK
 
 
@@ -252,7 +258,7 @@ def _cmd_mc_validate(args: argparse.Namespace) -> int:
                     "sigma_distance": sigma,
                 }
             )
-    _emit(rows, ["target", "statistic", "analytic", "mc", "std_err", "sigma_distance"], args)
+    _emit(rows, args)
     return EXIT_OK
 
 
@@ -281,7 +287,7 @@ def _cmd_ng_curve(args: argparse.Namespace) -> int:
         "p_coincidence": curve.p_coincidence,
     }
     rows = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
-    _emit(rows, list(columns), args)
+    _emit(rows, args)
     return EXIT_OK
 
 

@@ -128,9 +128,11 @@ def _counts(**indicators: np.ndarray) -> dict[str, int]:
 def simulate(params, config: McConfig, target: str = KEY) -> dict[str, McEstimate]:
     """Monte Carlo estimates of the per-pulse statistics of one channel model.
 
-    Key geometry returns p_exp and qber (plus y and p_multi for the heralded
-    source); autocorrelation geometry returns p_single, p_coincidence,
-    p_none, omega1 and omega2plus.
+    In this order, key geometry returns p_exp and qber (qber only when some
+    event is accepted), then p_exp_signal, p_exp_noise, p_exp_noise_signal and
+    p_exp_dark for noise before the channel, or p_multi and y for the heralded
+    source; autocorrelation geometry returns p_single, p_coincidence, p_none,
+    omega1 and omega2plus.
     """
     if target not in (KEY, AUTOCORR):
         raise ParameterDomainError(f"unknown target geometry: {target!r}")
@@ -204,31 +206,17 @@ def _map_blocks(run, blocks: int) -> list:
     return results
 
 
-# every estimate in output order, named as its count; each is a fraction of all
-# samples except qber, a fraction of the accepted events
-_ESTIMATES = (
-    "p_exp",
-    "qber",
-    "p_exp_signal",
-    "p_exp_noise",
-    "p_exp_noise_signal",
-    "p_exp_dark",
-    "p_multi",
-    "p_single",
-    "p_coincidence",
-    "p_none",
-    "omega1",
-    "omega2plus",
-)
-
-
 def _assemble(counts: Counter, n: int) -> dict[str, McEstimate]:
-    """Estimates of every counted statistic; qber only when some event was accepted."""
+    """Estimates of every counted statistic, in the order the blocks count them.
+
+    Each is a fraction of all samples except qber, a fraction of the accepted
+    events, left out when there are none; ``multi_and_accepted`` only feeds y.
+    """
     out = {}
-    for name in _ESTIMATES:
+    for name, count in counts.items():
         total = counts["p_exp"] if name == "qber" else n
-        if name in counts and total > 0:
-            out[name] = _bernoulli_estimate(counts[name], total)
+        if name != "multi_and_accepted" and total > 0:
+            out[name] = _bernoulli_estimate(count, total)
     if "p_multi" in counts:
         out["y"] = _ratio_estimate(
             multi=counts["p_multi"], acc=counts["p_exp"], both=counts["multi_and_accepted"], n=n

@@ -245,28 +245,24 @@ def _path(holds, fails, left, guess, rows):
 
     def settle(out):
         # each step's bracket as the predicate moves it, up to the first step it moves
-        # other than the guess (a stray), where the bracket stops, or the last tested,
-        # or the first that is not wide (as ``wide`` has it for positive ends)
-        below = h < f  # the holds end is the lower one
+        # other than the guess (a stray), where the bracket stops, or the last tested
+        below = (h < f)[:, None]  # the holds end is the lower one
         moved = np.zeros(mids.shape, dtype=bool)  # whether a step moves the lower end
         moved[tested] = out > 0.0
-        moved = moved == below[:, None]
+        moved = moved == below
         stray = tested & (moved != up)
         lo_at, hi_at = np.where(moved, mids, lo), np.where(moved, hi, mids)
-        narrow = hi_at - lo_at <= REL_TOL * hi_at
-        last = (narrow | stray | (step == count[:, None] - 1)).argmax(axis=1)
-        at = np.arange(rows.size)
-        lo_at, hi_at = lo_at[at, last], hi_at[at, last]
-        holds[rows], fails[rows] = np.where(below, lo_at, hi_at), np.where(below, hi_at, lo_at)
-        left[rows] = np.where(narrow[at, last], 0, left[rows] - last - 1)
-        guess[rows[stray[at, last]]] = np.nan
+        h_at, f_at = np.where(below, lo_at, hi_at), np.where(below, hi_at, lo_at)
+        last = _settle(holds, fails, left, rows, h_at, f_at, stray | (step == count[:, None] - 1))
+        guess[rows[stray[np.arange(rows.size), last]]] = np.nan
 
     return mids[tested], np.repeat(rows, count), settle
 
 
-def _settle(holds, fails, left, rows, h, f, stop) -> None:
+def _settle(holds, fails, left, rows, h, f, stop) -> np.ndarray:
     """Moves each bracket of ``rows`` to its last level in (h, f): its first level that
-    is not ``wide`` or that ``stop`` marks, or its last step, or the last column."""
+    is not ``wide`` or that ``stop`` marks, or its last step, or the last column; and
+    returns the column of that level."""
     narrow = ~wide(h, f)
     stop = narrow | stop
     last = np.where(stop.any(axis=1), stop.argmax(axis=1), h.shape[1] - 1)
@@ -274,3 +270,4 @@ def _settle(holds, fails, left, rows, h, f, stop) -> None:
     at = np.arange(rows.size)
     holds[rows], fails[rows] = h[at, last], f[at, last]
     left[rows] = np.where(narrow[at, last], 0, left[rows] - last - 1)
+    return last

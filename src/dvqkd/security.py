@@ -92,10 +92,6 @@ def qber_threshold() -> float:
     g is convex and decreasing there, so from q = 0.1, where g > 0, each step rises
     toward the root without passing it; the first step that does not rise ends it.
     """
-    return _compute_qber_threshold()
-
-
-def _compute_qber_threshold() -> float:
     q, step = 0.0, 0.1
     while step > q:
         q = step

@@ -24,7 +24,7 @@ def test_criterion_01_qber_threshold_value_and_speed():
     value = security.qber_threshold()
     assert 0.1095 <= value <= 0.1105
     start = time.perf_counter()
-    fresh = security._compute_qber_threshold()
+    fresh = security.qber_threshold.__wrapped__()
     elapsed = time.perf_counter() - start
     assert fresh == value
     assert elapsed < 1e-3

@@ -24,6 +24,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _no_constant(token):
+    raise ValueError(f"{token} is not a JSON token")
+
+
+def strict_json(text):
+    """The JSON document ``text``, refusing the NaN and Infinity tokens Python accepts."""
+    return json.loads(text, parse_constant=_no_constant)
+
+
 class TestSweep:
     def test_csv_schema_and_row_count(self, capsys):
         code, out, _ = run(
@@ -74,7 +83,7 @@ class TestSweep:
             "--t-grid", "1e-2:1e-1:3:log", "--format", "json",
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["meta"]["model"] == "spdc"
         assert payload["meta"]["nu"] == 1e-4
         assert len(payload["rows"]) == 3
@@ -167,6 +176,27 @@ class TestTmin:
         header, row = [line.split(",") for line in out.strip().split("\n")]
         assert math.isfinite(float(dict(zip(header, row))["t_min_bright_pairs"]))
 
+    @pytest.mark.parametrize(
+        "argv, cells",
+        [
+            (
+                ["--model", "thermal-bath", "--p", "1", "--e", "0.3", "--d", "1e-3"],
+                {"t_min_numeric": "nan", "t_min_analytic": "inf"},
+            ),
+            (
+                ["--model", "spdc", "--nu", "0.01", "--e", "0.3"],
+                {"t_min_numeric": "nan", "t_min_rare_pairs": "inf", "t_min_bright_pairs": "inf"},
+            ),
+        ],
+    )
+    def test_infeasible_json_is_strict(self, capsys, argv, cells):
+        # RFC 8259 has no NaN or Infinity token: a non-finite float is its CSV text
+        code, out, _ = run(capsys, "tmin", *argv, "--format", "json")
+        assert code == 0
+        (row,) = strict_json(out)["rows"]
+        assert {k: row[k] for k in cells} == cells
+        assert row["feasible"] is False
+
 
 class TestMcValidate:
     def test_sigma_distances_small(self, capsys):
@@ -230,6 +260,31 @@ class TestNgCurve:
         lines = out.strip().split("\n")
         assert lines[0] == "V,n,p_single,p_coincidence"
         assert len(lines) > 16
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--model", "spdc", "--nu", "1e-4", "--criteria", "security,ng",
+         "--t-grid", "1e-2:1e-1:3:log"],
+        ["point", "--model", "noise-before", "--t", "0.1", "--mu", "1e-3"],
+        ["witness", "--ps", "1e-3"],
+        ["witness", "--ps", "1e-3", "--pc", "1e-10"],
+        ["tmin", "--model", "thermal-bath", "--d", "1e-3"],
+        ["tmin", "--model", "spdc", "--nu", "1e-2", "--d", "1e-9"],
+        ["mc-validate", "--model", "spdc", "--samples", "1000"],
+        ["ng-curve", "--points", "16"],
+    ],
+    ids=lambda argv: "-".join(argv[:3]),
+)
+def test_csv_header_is_json_row_keys(capsys, argv):
+    code, csv_out, _ = run(capsys, *argv)
+    json_code, json_out, _ = run(capsys, *argv, "--format", "json")
+    assert code == json_code == 0
+    header, *lines = csv_out.splitlines()
+    rows = strict_json(json_out)["rows"]
+    assert len(rows) == len(lines)
+    assert all(list(row) == header.split(",") for row in rows)
 
 
 def test_missing_command_is_config_error(capsys):
@@ -372,13 +427,17 @@ def test_spdc_monte_carlo_pair_mean_bound(capsys):
 
 
 def test_cli_runtime_does_not_load_scipy():
-    probe = "import sys, dvqkd.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    # nor any other package only the tests use
+    probe = (
+        "import sys, dvqkd.cli; test_only = {'scipy', 'mpmath', 'hypothesis', 'pytest'}; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} & test_only))"
+    )
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
 
 
 # flag values with NaN, +-inf, 0, negatives and 1e300; sizes stay small (at most 1e4
@@ -461,3 +520,5 @@ def test_fuzzed_argv_ends_in_an_exit_code(argv):
     assert code in (0, 2, 3)
     assert len(err.getvalue().splitlines()) <= 1
     assert "Traceback" not in err.getvalue()
+    if code != 2 and "--format=json" in argv:
+        strict_json(out.getvalue())

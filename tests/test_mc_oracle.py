@@ -376,6 +376,31 @@ class TestFrozenStream:
 VARIANTS = ["thermal-bath", "noise-before/thermal", "noise-before/poisson", "spdc"]
 
 
+class TestEstimateOrder:
+    """``simulate`` returns its estimates in the order its docstring gives, qber left
+    out where no event is accepted (T = 0 with no noise and no dark counts)."""
+
+    KEY_EXTRA = {
+        "thermal-bath": [],
+        "noise-before/thermal": ["p_exp_signal", "p_exp_noise", "p_exp_noise_signal", "p_exp_dark"],
+        "noise-before/poisson": ["p_exp_signal", "p_exp_noise", "p_exp_noise_signal", "p_exp_dark"],
+        "spdc": ["p_multi", "y"],
+    }
+
+    @pytest.mark.parametrize("accepted", [True, False])
+    @pytest.mark.parametrize("target", [mc.KEY, mc.AUTOCORR])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_documented_order(self, variant, target, accepted):
+        point = dict(d=1e-3, mu=0.2, T=0.4) if accepted else dict(d=0.0, mu=0.0, T=0.0)
+        params = TestEveryDrawReference._params(variant, nu=2.0, e=0.05, **point)
+        out = mc.simulate(params, mc.McConfig(samples=1000, seed=5), target)
+        if target == mc.AUTOCORR:
+            assert list(out) == ["p_single", "p_coincidence", "p_none", "omega1", "omega2plus"]
+        else:
+            key = ["p_exp", "qber"] if accepted else ["p_exp"]
+            assert list(out) == key + self.KEY_EXTRA[variant]
+
+
 class TestWorkerCount:
     """Estimates and errors do not depend on how many workers sample the blocks."""
 
