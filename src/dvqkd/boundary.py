@@ -3,24 +3,21 @@ their closed-form small-T / small-nu approximations.
 
 The numeric solver reads each criterion (positive secret fraction,
 nonclassicality, non-Gaussianity) as a real margin on the noise mean mu,
-positive exactly where the criterion holds (``criterion_margin``; the
-predicate is its sign), and locates the largest mu at which it still holds.
-The search assumes every criterion is monotone in mu (noise only hurts): it
-brackets the edge on the ladder of mu = 0 and the doublings MU_SEED * 2^j
-(capped at the ceiling) and bisects it once, on all transmittances of a
-sweep at once, so ``mu_max_numeric`` is the same search on one
-transmittance.  Each criterion call tests several rungs of every point
-still climbing, the whole ladder for a 60-point sweep; a point's bracket
-ends at its first failing rung, where a doubling one rung per call would
-stop too.  The bisection tests several levels of every live bracket per
-call (``roots.bisect_predicate``); the margin's values on the first of them
-guess each edge, and the next call tests the whole path of midpoints the
-guess implies.  Each bracket ends where a bisection of one level per call
-would end it, so a 60-point sweep takes three calls where its guesses hold.
-``t_min_numeric`` tests both ends and the midpoints its bisection visits
-while security holds in one call, and bisects on from the first that fails.
-``tests/test_boundary.py`` checks that monotonicity on seeded configurations
-of every model and criterion.
+positive exactly where it holds (``criterion_margin``; the predicate is its
+sign), and finds the largest mu at which it still holds, on all
+transmittances of a sweep at once.  Assuming every criterion monotone in mu
+(noise only hurts; ``tests/test_boundary.py`` checks it on seeded
+configurations), it brackets the edge on the ladder of mu = 0 and the
+doublings MU_SEED * 2^j, capped at the ceiling, and bisects it
+(``roots.bisect_predicate``): the first call tests the whole ladder of a
+60-point sweep, the second several bisection levels, whose margin values
+guess the edge, and the third the path of midpoints the guess implies.
+Where a model has an exact security edge (``security_edge``, ``t_min_edge``),
+the first call also tests that path: single-photon security sweeps and
+``t_min_numeric`` take one call.  Each bracket ends as in a bisection of one
+level per call.  ``t_min_numeric`` tests both ends and the midpoints its
+bisection visits while security holds in one call, and bisects on from the
+first that fails.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ import numpy as np
 
 from . import channel, noise_before, spdc, thermal_bath
 from .errors import ParameterDomainError
-from .roots import bisect_predicate, wide
+from .roots import bisect_predicate, guessed_path, wide
 from .security import qber_threshold, y_threshold
 # the witnesses' decisions stay importable from here, where callers look them up
 from .witness import ClickStats, is_nonclassical, is_nongaussian  # noqa: F401
@@ -135,17 +132,23 @@ def criterion_predicate(params: ModelParams, criterion: str) -> Callable:
 def mu_max_numeric(params: ModelParams, criterion: str) -> Optional[float]:
     """Largest noise mean at which the criterion holds; None when infeasible at mu = 0.
 
-    Brackets the edge between the first failing rung of the doubling ladder
-    from 1e-12 up to the ceiling and the rung below it (0 below the first),
-    testing mu = 0 and the whole ladder in one criterion call, then bisects to
-    a relative width of 1e-6 (``roots.REL_TOL``).  Returns ``MU_CEILING`` when
-    the criterion still holds there.
+    The search of a sweep, on one transmittance: the edge to a relative width of
+    1e-6 (``roots.REL_TOL``), or ``MU_CEILING`` when the criterion holds there.
     """
-    mu_max, feasible = _search_mu_max(criterion_margin(params, criterion), np.array([params.T]))
+    mu_max, feasible = _search(params, criterion, np.array([params.T]))
     return float(mu_max[0]) if feasible[0] else None
 
 
-def _search_mu_max(margin: Callable, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _search(params: ModelParams, criterion: str, ts: np.ndarray) -> tuple:
+    """``_search_mu_max`` of the criterion, guessed by the model's exact edge if any."""
+    edge = getattr(channel.model(params).module, "security_edge", None)
+    edge = edge(replace(params, T=ts)) if edge and criterion == SECURITY else None
+    return _search_mu_max(criterion_margin(params, criterion), ts, edge)
+
+
+def _search_mu_max(
+    margin: Callable, ts: np.ndarray, edge: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray]:
     """(mu_max, feasible) per transmittance: where margin(0, T) > 0, the largest mu
     with margin(mu, T) > 0; elsewhere 0.  An element leaves the search once its own
     bracket is done, so it ends as a search of its own would.
@@ -156,22 +159,39 @@ def _search_mu_max(margin: Callable, ts: np.ndarray) -> tuple[np.ndarray, np.nda
     The bisection (``roots.bisect_predicate``) gets the margin itself: its values
     on a bracket's first tree levels guess the edge, and the next call tests the
     path the guess implies.  A margin that is only a boolean works too, unguessed.
+    Given an exact ``edge`` per point, of up to 78 points, the first call also tests
+    the path of the bracket it falls in (``roots.guessed_path``); a point whose ladder
+    bracket and path confirm it is done, and every other point goes on as without it.
     """
     first = np.full(ts.size, _LADDER.size)  # each point's first failing rung, if any
     which, rung = np.arange(ts.size), 0  # still climbing, next rung to test
+    guessed, path, at = np.empty(0, dtype=int), np.empty(0), np.empty(0)  # at: the paths' T
+    if edge is not None and ts.size <= _LADDER_WIDTH // _LADDER.size:  # all in the first call
+        k = np.searchsorted(_LADDER, edge)  # the rungs below the edge
+        guessed = np.flatnonzero((k > 1) & (k < _LADDER.size))
+        path, elements, finish = guessed_path(
+            _LADDER[k[guessed] - 1], _LADDER[k[guessed]], edge[guessed]
+        )
+        at = ts[guessed[elements]]
     while which.size and rung < _LADDER.size:
         rungs = _LADDER[rung : rung + max(1, _LADDER_WIDTH // which.size)]
-        ok = margin(np.tile(rungs, which.size), np.repeat(ts[which], rungs.size)) > 0.0
-        ok = ok.reshape(which.size, rungs.size)
+        mu = np.concatenate([np.tile(rungs, which.size), path])  # the paths: one call only
+        out = margin(mu, np.concatenate([np.repeat(ts[which], rungs.size), at]))
+        ok = (out[: which.size * rungs.size] > 0.0).reshape(which.size, rungs.size)
+        on_path = out[ok.size :]
         stop = ~ok.all(axis=1)
         first[which[stop]] = rung + np.argmin(ok[stop], axis=1)
         which, rung = which[~stop], rung + rungs.size
     feasible, ceiling = first > 0, first == _LADDER.size
-    rest = np.flatnonzero(feasible & ~ceiling)
+    mu_max = np.where(ceiling, MU_CEILING, 0.0)
+    if guessed.size:
+        holds, fails = finish(on_path)
+        hit = (first[guessed] == k[guessed]) & ~np.isnan(holds)
+        mu_max[guessed[hit]] = 0.5 * (holds[hit] + fails[hit])
+    rest = np.flatnonzero(feasible & (mu_max == 0.0))  # neither at the ceiling nor guessed
     holds, fails = bisect_predicate(
         lambda mu, i: margin(mu, ts[rest[i]]), _LADDER[first[rest] - 1], _LADDER[first[rest]]
     )
-    mu_max = np.where(ceiling, MU_CEILING, 0.0)
     mu_max[rest] = 0.5 * (holds + fails)
     return mu_max, feasible
 
@@ -181,7 +201,7 @@ def sweep(params: ModelParams, criterion: str, t_grid: Sequence[float]) -> Bound
     ts = np.array(t_grid, dtype=float)
     if not (np.all((ts > 0.0) & (ts <= 1.0)) and np.all(np.diff(ts) > 0.0)):
         raise ParameterDomainError("transmittance grid must increase strictly within (0, 1]")
-    mu_max, feasible = _search_mu_max(criterion_margin(params, criterion), ts)
+    mu_max, feasible = _search(params, criterion, ts)
     points = tuple(map(BoundaryPoint, ts.tolist(), mu_max.tolist(), feasible.tolist()))
     return BoundaryCurve(model_name(params), criterion, points)
 
@@ -194,18 +214,29 @@ def t_min_numeric(params: ModelParams) -> Optional[float]:
     both ends and every midpoint the bisection between them visits while
     security holds (``_T_LADDER``); the bisection goes on from the first that
     fails, as the one from [1, T_FLOOR] would, well within ``roots._MAX_STEPS``.
-    The bisection gets the predicate, not the margin, so it takes no guess: its
-    one bracket tests ten levels per call, so a guess could only shorten the
-    last call, and that is slower than the ten levels it saves.
+    Where the model has an exact edge (``t_min_edge``) in a ``wide`` bracket, the
+    call also tests that bracket's path (``roots.guessed_path``), which ends the
+    search where the ladder and the path confirm it.  The bisection gets the
+    predicate, which takes no guess: its one bracket tests ten levels per call.
     """
     pred = criterion_predicate(params, SECURITY)
-    ok = pred(0.0, _T_LADDER)
+    edge = getattr(channel.model(params).module, "t_min_edge", lambda params: math.nan)(params)
+    k = int(np.count_nonzero(_T_LADDER >= edge))  # the rungs above it
+    path, finish = np.empty(0), None
+    if 0 < k < _T_LADDER.size and wide(_T_LADDER[k - 1], _T_LADDER[k]):
+        path, _, finish = guessed_path(_T_LADDER[k - 1], _T_LADDER[k], edge)
+    ok = pred(0.0, np.concatenate([_T_LADDER, path]))
+    ok, on_path = ok[: _T_LADDER.size], ok[_T_LADDER.size :]
     if not ok[0]:
         return None
     if ok[-1]:
         return 0.0
-    k = int(np.argmin(ok))  # the first failing rung
-    holds, fails = _T_LADDER[k - 1], _T_LADDER[k]
+    j = int(np.argmin(ok))  # the first failing rung
+    holds, fails = _T_LADDER[j - 1], _T_LADDER[j]
+    if finish is not None and j == k:
+        end, _ = finish(on_path)
+        if not np.isnan(end[0]):
+            return float(end[0])
     if wide(holds, fails):
         holds, _ = bisect_predicate(lambda t, i: pred(0.0, t), holds, fails)
     return float(holds)

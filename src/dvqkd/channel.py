@@ -21,31 +21,29 @@ import numpy as np
 
 from . import photon_stats as ps
 from .errors import ParameterDomainError, UndefinedRateError
-from .witness import ClickStats, _within, combine
+from .security import qber_threshold
+from .witness import ClickStats, _require, _within, combine
 
 Triple = tuple[float, float, float]
 
 
 def validate(T: float, mu: float, e: float, d: float, *, p: float = 0.0, nu: float = 0.0) -> None:
     """Domain checks shared by every model's parameter record; T and mu may be arrays."""
-    if not 0.0 <= p <= 1.0:
-        raise ParameterDomainError(f"emission probability must be in [0, 1], got {p}")
-    if not 0.0 <= nu < math.inf:
-        raise ParameterDomainError(f"pair mean must be finite and >= 0, got {nu}")
-    if not _within(T, 0.0, 1.0):
-        raise ParameterDomainError(f"transmittance must be in [0, 1], got {T}")
-    if not _within(mu, 0.0, sys.float_info.max):  # finite
-        raise ParameterDomainError(f"noise mean must be finite and >= 0, got {mu}")
-    if not 0.0 <= e <= 1.0:
-        raise ParameterDomainError(f"depolarization must be in [0, 1], got {e}")
+    _require(p, 0.0, 1.0, "emission probability must be in [0, 1], got {}")
+    _require(nu, 0.0, sys.float_info.max, "pair mean must be finite and >= 0, got {}")
+    if 0.0 < nu < sys.float_info.min:  # the herald 1 - e^-nu, a divisor, would be subnormal
+        raise ParameterDomainError(f"pair mean must be 0 or at least 2.2e-308, got {nu}")
+    _require(T, 0.0, 1.0, "transmittance must be in [0, 1], got {}")
+    _require(mu, 0.0, sys.float_info.max, "noise mean must be finite and >= 0, got {}")
+    _require(e, 0.0, 1.0, "depolarization must be in [0, 1], got {}")
     if not 0.0 <= d < 1.0:
         raise ParameterDomainError(f"dark-count probability must be in [0, 1), got {d}")
 
 
 class Model(NamedTuple):
     """A channel model.  Its module's key_rate, secret_bound, key_statistics,
-    click_stats and omega are looked up at call time, so a replaced attribute
-    takes effect."""
+    click_stats, omega and, where it has them, security_edge and t_min_edge are
+    looked up at call time, so a replaced attribute takes effect."""
 
     name: str
     params_type: type
@@ -137,8 +135,30 @@ def key_events(tau: float, beta: float, mup: float, e: float, d: float) -> tuple
     return accepted, errors
 
 
+def noise_edge(tau, beta, e: float, d: float):
+    """The m = mup at which the QBER of ``key_events`` is Q_th; not finite or <= 0 where
+    none is.  Times (1 + m)^2 both events are linear in m, so it is [tau (Q_th - e/2) -
+    d beta (1 - 2 Q_th)] / [beta (1 - 2 Q_th) - tau (Q_th - e/2)]."""
+    qth = qber_threshold()
+    signal, noise = tau * (qth - 0.5 * e), beta * (1.0 - 2.0 * qth)
+    with np.errstate(all="ignore"):
+        return np.divide(signal - d * noise, noise - signal)
+
+
+def t_min_edge(params) -> float:
+    """The T at which ``noise_edge`` of a single-photon source (tau = pT, beta = 1 - pT)
+    is 0, d (1 - 2 Q_th) / (p [(Q_th - e/2) + d (1 - 2 Q_th)]): secure above it at mu = 0."""
+    qth = qber_threshold()
+    dark = params.d * (1.0 - 2.0 * qth)
+    with np.errstate(all="ignore"):
+        return np.divide(dark, params.p * (qth - 0.5 * params.e + dark))
+
+
 def error_rate(accepted: float, errors: float) -> float:
+    """errors / accepted, at most 1/2: every model has errors <= accepted / 2, which only
+    the rounding of tiny or subnormal event probabilities breaks."""
     # only an element at or below 0 raises, not NaN
     if not _within(accepted, math.ulp(0.0), math.inf) and np.any(accepted <= 0.0):
         raise UndefinedRateError("no accepted events: QBER undefined")
-    return errors / accepted
+    q = errors / accepted
+    return np.minimum(q, 0.5) if isinstance(q, np.ndarray) else min(q, 0.5)

@@ -110,6 +110,37 @@ def secret_bound(params: NoiseBeforeParams) -> float:
     return secret_bound_ideal(channel.error_rate(*_key_events(params, event_probs(params))))
 
 
+def security_edge(params: NoiseBeforeParams):
+    """The noise mean at which the QBER reaches Q_th at each of ``params.T``, or NaN.
+
+    Over the chance that no noise survives, the events are ``channel.key_events``' with
+    the weight r = _same_detector / pgf(x, 0) of x = mu T, so r(x) = ``channel.noise_edge``
+    = m*.  In y = -log pgf(x, 0), dr/dy = 1 + r - r / (x dy/dx); the thermal r and the
+    Poisson log(1 + r) are convex there with slopes in [1/2, 1], so Newton's method from
+    x = 2 m* (r = x/2 + O(x^2)) ends in 5 steps, the last moving y by at most 1e-8 of it.
+    """
+    quiet, s, _ = channel.single_photon(params.p, params.T)
+    m = channel.noise_edge(s, quiet, params.e, params.d)
+    live = (m > 0.0) & (m <= 350.0)  # above, x = 2 m* would overflow the Poisson r
+    m, thermal = np.where(live, m, 0.5), params.noise_kind == ps.THERMAL  # 0.5: a stand-in
+    y = np.log1p(2.0 * m) if thermal else 2.0 * m
+    with np.errstate(all="ignore"):
+        for _ in range(8):  # it takes 5 at most
+            x = np.expm1(y) if thermal else y
+            survivors = ps.PhotonDistribution(params.noise_kind, x)
+            none = ps.pgf(survivors, 0.0)
+            r = _same_detector(survivors) / none
+            slope = 1.0 + r - r / (x * none if thermal else x)
+            step = (r - m) / slope if thermal else (np.log1p(r) - np.log1p(m)) * (1.0 + r) / slope
+            y = y - step
+            if np.all(np.abs(step) <= 1e-8 * y):
+                break
+        return np.where(live, (np.expm1(y) if thermal else y) / params.T, np.nan)[()]
+
+
+t_min_edge = channel.t_min_edge
+
+
 def key_statistics(params: NoiseBeforeParams) -> dict[str, float]:
     """Key-geometry statistics per pulse, named as the Monte Carlo oracle names them."""
     ev = event_probs(params)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterDomainError
-from .witness import _within
+from .witness import _require
 
 THERMAL = "thermal"
 POISSON = "poisson"
@@ -36,8 +36,7 @@ class PhotonDistribution:
     def __post_init__(self) -> None:
         if self.kind not in (THERMAL, POISSON):
             raise ParameterDomainError(f"unknown distribution kind: {self.kind!r}")
-        if not _within(self.mean, 0.0, sys.float_info.max):  # finite
-            raise ParameterDomainError(f"mean photon number must be >= 0, got {self.mean}")
+        _require(self.mean, 0.0, sys.float_info.max, "mean photon number must be >= 0, got {}")
 
     @classmethod
     def thermal(cls, mean: float) -> "PhotonDistribution":

@@ -10,7 +10,7 @@ bracket with one end at 0.  Given a real margin in place of the predicate,
 it reads a guess of each edge off the margin's values on a bracket's tree,
 then tests in one call every midpoint the bisection would visit if the edge
 were there, and keeps those the predicate confirms: the guess saves calls,
-never moves a result.
+never moves a result.  ``guessed_path`` gives that path for a guess from elsewhere.
 """
 
 from __future__ import annotations
@@ -257,6 +257,21 @@ def _path(holds, fails, left, guess, rows):
         guess[rows[stray[np.arange(rows.size), last]]] = np.nan
 
     return mids[tested], np.repeat(rows, count), settle
+
+
+def guessed_path(holds, fails, guess) -> tuple:
+    """(values, elements, finish) of the ``_path`` of each bracket, ends positive, as far
+    as ``_GUESS_WIDTH`` values allow.  finish(out) gives the brackets (holds, fails) at
+    which the bisections end where out agrees with the guess until then, else NaN."""
+    holds, fails, guess = (np.array(x, dtype=float).ravel() for x in (holds, fails, guess))
+    left = np.full(holds.size, _MAX_STEPS)  # holds and fails are copies _path moves
+    values, elements, settle = _path(holds, fails, left, guess, np.arange(holds.size))
+
+    def finish(out):
+        settle(out)
+        return np.where(left == 0, holds, np.nan), np.where(left == 0, fails, np.nan)
+
+    return values, elements, finish
 
 
 def _settle(holds, fails, left, rows, h, f, stop) -> np.ndarray:

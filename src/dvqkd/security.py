@@ -17,8 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InfeasibleError, ParameterDomainError
-from .witness import _within
+from .errors import InfeasibleError
+from .witness import _require
 
 _LOG2E = 1.0 / math.log(2.0)
 
@@ -35,20 +35,15 @@ class KeyRateResult:
 
 def binary_entropy(q: float) -> float:
     """Shannon entropy of a bit with bias q, in bits; H(0) = H(1) = 0 by continuity."""
-    _check_range("entropy argument", q, 1.0)
+    _require(q, 0.0, 1.0, "entropy argument must be in [0, 1], got {}")
     # at q = 0 or 1 the logarithm of the vanishing factor reads log(1) = 0, not log(0);
     # log1p keeps log(1 - q) accurate for small q, where 1 - q rounds
     return (q * np.log(q + (q == 0.0)) + (1.0 - q) * np.log1p((q == 1.0) - q)) * -_LOG2E
 
 
-def _check_range(name: str, value, top: float) -> None:
-    if not _within(value, 0.0, top):
-        raise ParameterDomainError(f"{name} must be in [0, {top:g}], got {value}")
-
-
 def secret_bound_ideal(q: float) -> float:
     """1 - 2H(q): the ideal-source secret fraction before its clip at 0."""
-    _check_range("QBER", q, 0.5)
+    _require(q, 0.0, 0.5, "QBER must be in [0, 0.5], got {}")
     return 1.0 - 2.0 * binary_entropy(q)
 
 
@@ -59,8 +54,8 @@ def secret_fraction_ideal(q: float) -> float:
 
 def _multiphoton(q: float, y: float) -> tuple:
     """(y - H(q) - y H(q/y), whether the bracket applies: y > 0 and q <= y)."""
-    _check_range("QBER", q, 0.5)
-    _check_range("single-photon fraction", y, 1.0)
+    _require(q, 0.0, 0.5, "QBER must be in [0, 0.5], got {}")
+    _require(y, 0.0, 1.0, "single-photon fraction must be in [0, 1], got {}")
     live = (y > 0.0) & (q <= y)
     ratio = np.minimum(q, y) / np.where(y > 0.0, y, 1.0)  # q / y where live, else in [0, 1]
     return y - binary_entropy(q) - y * binary_entropy(ratio), live
@@ -114,13 +109,11 @@ def y_threshold(e: float) -> float:
     that does not fall ends it.  Below 2 Q_th the root is below 1, so a root that
     rounds to 1 reads as the float just below it.
     """
-    _check_range("depolarization probability", e, 1.0)
+    _require(e, 0.0, 1.0, "depolarization probability must be in [0, 1], got {}")
     if e == 0.0:
         return 0.0
-    if e < sys.float_info.min:
-        raise ParameterDomainError(
-            f"depolarization probability must be 0 or at least {sys.float_info.min:g}, got {e}"
-        )
+    message = f"depolarization probability must be 0 or at least {sys.float_info.min:g}, got {{}}"
+    _require(e, sys.float_info.min, 1.0, message)
     if e >= 2.0 * qber_threshold():
         raise InfeasibleError(f"no single-photon fraction < 1 is secure at depolarization e={e:g}")
     half = 0.5 * e

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import channel
 from . import photon_stats as ps
 from .security import KeyRateResult, secret_bound_ideal, secret_fraction_ideal
@@ -52,6 +54,17 @@ def key_rate(params: ThermalBathParams) -> KeyRateResult:
 def secret_bound(params: ThermalBathParams) -> float:
     """The secret fraction before its clip at 0."""
     return secret_bound_ideal(channel.error_rate(*_key_events(params)))
+
+
+def security_edge(params: ThermalBathParams):
+    """The noise mean at which the QBER reaches Q_th at each of ``params.T``, the
+    ``channel.noise_edge`` of m = mu (1 - T) over 1 - T; not finite or <= 0 if none."""
+    lost, kept, _ = channel.single_photon(params.p, params.T)
+    with np.errstate(all="ignore"):
+        return np.divide(channel.noise_edge(kept, lost, params.e, params.d), 1.0 - params.T)
+
+
+t_min_edge = channel.t_min_edge
 
 
 def key_statistics(params: ThermalBathParams) -> dict[str, float]:

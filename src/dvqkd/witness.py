@@ -90,6 +90,17 @@ def _within(value, lo, hi) -> bool:
     )
 
 
+def _require(value, lo, hi, message: str, error: type = ParameterDomainError) -> None:
+    """Raises error(message) unless ``_within(value, lo, hi)``, with the value for its {}:
+    a scalar as it is, an array as its first element outside [lo, hi] and a count."""
+    if not _within(value, lo, hi):
+        if np.ndim(value):
+            flat = np.asarray(value, dtype=float).ravel()
+            bad = np.flatnonzero(~((lo <= flat) & (flat <= hi)))  # NaN included
+            value = f"{float(flat[bad[0]])} at element {bad[0]} ({bad.size} of {flat.size} outside)"
+        raise error(message.format(value))
+
+
 @dataclass(frozen=True)
 class ClickStats:
     """Autocorrelation outcome probabilities (floats or arrays): one click, coincidence, none."""
@@ -101,13 +112,11 @@ class ClickStats:
     def __post_init__(self) -> None:
         for name in ("p_single", "p_coincidence", "p_none"):
             value = getattr(self, name)
-            if not _within(value, _NEG_CLAMP, 1.0 + 1e-12):
-                raise ParameterDomainError(f"{name} out of [0, 1]: {value}")
+            _require(value, _NEG_CLAMP, 1.0 + 1e-12, name + " out of [0, 1]: {}")
             # rounding noise from cancellation-safe closed forms
             object.__setattr__(self, name, np.maximum(value, 0.0))
         total = self.p_single + self.p_coincidence + self.p_none
-        if not _within(total - 1.0, -_SUM_TOL, _SUM_TOL):
-            raise ParameterDomainError(f"click probabilities sum to {total}, expected 1")
+        _require(total - 1.0, -_SUM_TOL, _SUM_TOL, "click probabilities must sum to 1, off by {}")
 
 
 def nc_boundary(p_single: float) -> float:
@@ -117,12 +126,9 @@ def nc_boundary(p_single: float) -> float:
     weak-light limit P_C -> P_S^2 / 4; the larger root bounds the bunched
     side of the classical region and is not used here.
     """
-    if not _within(p_single, 0.0, 1.0):
-        raise ParameterDomainError(f"p_single must be in [0, 1], got {p_single}")
-    if not _within(p_single, 0.0, 0.5):
-        raise BoundaryDomainError(
-            f"classical boundary undefined for p_single > 0.5 (got {p_single})"
-        )
+    _require(p_single, 0.0, 1.0, "p_single must be in [0, 1], got {}")
+    message = "classical boundary undefined for p_single > 0.5 (got {})"
+    _require(p_single, 0.0, 0.5, message, BoundaryDomainError)
     # 0.5 (1 - sqrt(1 - 2 P_S)) without the difference of near-equal terms
     root = p_single / (1.0 + np.sqrt(1.0 - 2.0 * p_single))
     return root * root
@@ -182,8 +188,7 @@ def ng_boundary_curve(num_points: int = NG_POINTS) -> NgCurve:
     turning point (they bound the bunched side of the Gaussian region, not
     the single-photon side) are discarded.
     """
-    if num_points < 16:
-        raise ParameterDomainError(f"num_points must be >= 16, got {num_points}")
+    _require(num_points, 16, math.inf, "num_points must be >= 16, got {}")
     # warped grid accumulating near V = 1, where the curve compresses to the origin
     eps_grid = np.geomspace(_EPS_FLOOR, 0.75, num_points)
     ps, pc = _family(eps_grid, _libm(math.log1p), _libm(math.expm1))
@@ -234,12 +239,9 @@ def ng_boundary(p_single):
     0.59572639161970.
     """
     top = ng_boundary_curve(NG_POINTS).p_single[-1]
-    if not _within(p_single, 0.0, 1.0):
-        raise ParameterDomainError(f"p_single must be in [0, 1], got {p_single}")
-    if not _within(p_single, 0.0, top):
-        raise BoundaryDomainError(
-            f"p_single={p_single} above the Gaussian family's largest P_S {top:g}"
-        )
+    _require(p_single, 0.0, 1.0, "p_single must be in [0, 1], got {}")
+    message = f"p_single={{}} above the Gaussian family's largest P_S {top:g}"
+    _require(p_single, 0.0, top, message, BoundaryDomainError)
     return _boundary(p_single)
 
 
@@ -273,8 +275,7 @@ def nongaussian_margin(stats: ClickStats):
     family the achievable region is empty and the margin is 1.
     """
     ps = stats.p_single
-    if not _within(ps, -np.inf, np.inf):  # NaN, which ng_boundary rejects
-        raise ParameterDomainError(f"p_single must be in [0, 1], got {ps}")
+    _require(ps, -np.inf, np.inf, "p_single must be in [0, 1], got {}")  # NaN, as ng_boundary
     top = ng_boundary_curve(NG_POINTS).p_single[-1]
     margin = _boundary(np.clip(ps, 0.0, top)) - stats.p_coincidence
     return np.where(ps > top, 1.0, margin)[()]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from types import SimpleNamespace
 from typing import Callable
 
@@ -409,6 +410,35 @@ def qber_threshold_mp() -> mpf:
     """The root of 1 - 2 H(q) on (0, 1/2), by mpmath's secant solver from 0.11."""
     with mp.workdps(_THRESHOLD_DIGITS):
         return mp.findroot(lambda q: 1 - 2 * binary_entropy_mp(q), mpf("0.11"))
+
+
+@lru_cache(maxsize=1)
+def security_qber_mp() -> mpf:
+    """The QBER at which 1 - 2 H(q) is ``boundary.SECURITY_MARGIN``, the edge of the
+    security criterion: Q_th less about 1.7e-13, by mpmath's secant solver."""
+    with mp.workdps(_THRESHOLD_DIGITS):
+        margin = mpf(boundary.SECURITY_MARGIN)
+        return mp.findroot(lambda q: 1 - 2 * binary_entropy_mp(q) - margin, mpf("0.11"))
+
+
+def noise_edge_mp(p: float, T: float, e: float, d: float) -> tuple[mpf, mpf]:
+    """The exact noise weight m* = num / den at which a single-photon source (tau = pT,
+    beta = 1 - pT) meets the security criterion in the form of ``channel.key_events``:
+    (num, den).  Secure at no noise where num > 0; no noise weight reaches the edge
+    where den <= 0 too."""
+    with mp.workdps(_THRESHOLD_DIGITS):
+        q, tau = security_qber_mp(), mpf(p) * mpf(T)
+        signal, noise = tau * (q - mpf(e) / 2), (1 - tau) * (1 - 2 * q)
+        return signal - mpf(d) * noise, noise - signal
+
+
+def transmittance_edge_mp(p: float, e: float, d: float) -> mpf:
+    """The exact T at which the noise weight m* of a single-photon source is 0:
+    d (1 - 2 Q) / (p [(Q - e/2) + d (1 - 2 Q)]) at the security criterion's Q."""
+    with mp.workdps(_THRESHOLD_DIGITS):
+        q = security_qber_mp()
+        dark = mpf(d) * (1 - 2 * q)
+        return dark / (mpf(p) * (q - mpf(e) / 2 + dark))
 
 
 def y_threshold_mp(e: float) -> mpf:

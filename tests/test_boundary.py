@@ -758,6 +758,229 @@ class TestTMinNumeric:
                     assert taken == 1, (case, threshold)  # no bracket left to bisect
 
 
+class TestQberAtOneHalf:
+    """Every model has errors <= accepted / 2 exactly; where the event probabilities
+    are tiny or subnormal, their ratio rounds up to 22 ulps above 1/2 before the clip."""
+
+    def test_subnormal_events_give_one_half(self):
+        batch = tb_params(p=1e-300, T=boundary._T_LADDER, e=1.0)
+        qber = thermal_bath.key_rate(batch).qber
+        assert qber.max() == 0.5 and security.secret_bound_ideal(qber).max() < -0.99
+        assert boundary.t_min_numeric(tb_params(p=1e-300, e=1.0)) is None
+
+    def test_noise_and_dark_counts_alone_give_one_half(self):
+        params = noise_before.NoiseBeforeParams(
+            p=1e-15, T=1.0, mu=0.0, e=0.9999999, d=0.9999999, noise_kind="poisson"
+        )
+        curve = boundary.sweep(params, boundary.SECURITY, np.geomspace(1e-9, 1.0, 5))
+        assert not any(pt.feasible for pt in curve.points)
+
+    def test_a_ratio_above_one_half_is_clipped(self):
+        assert channel.error_rate(3e-323, 2e-323) == 0.5
+        assert channel.error_rate(np.array([4.0, 3e-323]), np.array([1.0, 2e-323])).tolist() == [
+            0.25, 0.5
+        ]
+        assert type(channel.error_rate(4.0, 1.0)) is float
+
+
+class TestExactEdges:
+    """The single-photon security edges against their exact closed forms at the
+    criterion's mpmath QBER (tests/_reference.py), on draws with T and d down to
+    1e-12: mu_max, a bracket's midpoint, within REL_TOL, and T_min, a bracket's
+    holds end, within 2 REL_TOL."""
+
+    DRAWS = 300
+
+    @staticmethod
+    def _draw(rng):
+        p = 10.0 ** rng.uniform(-2.0, 0.0)
+        e = rng.uniform(0.0, 0.2)
+        d = 0.0 if rng.random() < 0.25 else 10.0 ** rng.uniform(-12.0, -1.0)
+        near_one = 1.0 - 10.0 ** rng.uniform(-12.0, -1.0)
+        T = 10.0 ** rng.uniform(-12.0, 0.0) if rng.random() < 0.5 else near_one
+        return p, T, e, d
+
+    def test_thermal_bath_mu_max_is_the_exact_edge(self):
+        rng, seen = np.random.default_rng(31), set()
+        for _ in range(self.DRAWS):
+            p, T, e, d = self._draw(rng)
+            got = boundary.mu_max_numeric(tb_params(p=p, T=T, e=e, d=d), boundary.SECURITY)
+            num, den = ref.noise_edge_mp(p, T, e, d)  # the edge in m = mu (1 - T)
+            if num <= 0:
+                seen.add("infeasible")
+                assert got is None, (p, T, e, d)
+            elif den <= 0 or num / den >= boundary.MU_CEILING * (1 - ref.mpf(T)):
+                seen.add("ceiling")
+                assert got == boundary.MU_CEILING, (p, T, e, d)
+            else:
+                seen.add("edge")
+                want = num / den / (1 - ref.mpf(T))
+                assert abs(got / want - 1) <= roots.REL_TOL, (p, T, e, d)
+        assert seen == {"infeasible", "ceiling", "edge"}
+
+    @pytest.mark.parametrize("kind", ["thermal-bath", "thermal", "poisson"])
+    def test_t_min_is_the_exact_edge(self, kind):
+        rng, seen = np.random.default_rng([37, len(kind)]), set()
+        for _ in range(self.DRAWS):
+            p, _, e, d = self._draw(rng)
+            if kind == "thermal-bath":
+                params = tb_params(p=p, e=e, d=d)
+            else:
+                params = noise_before.NoiseBeforeParams(
+                    p=p, T=0.5, mu=0.0, e=e, d=d, noise_kind=kind
+                )
+            got, want = boundary.t_min_numeric(params), ref.transmittance_edge_mp(p, e, d)
+            if ref.noise_edge_mp(p, 1.0, e, d)[0] <= 0:  # insecure at T = 1
+                seen.add("infeasible")
+                assert got is None, params
+            elif want <= boundary.T_FLOOR:
+                seen.add("floor")
+                assert got == 0.0, params
+            else:
+                seen.add("edge")
+                assert abs(got / want - 1) <= 2 * roots.REL_TOL, params
+        assert seen == {"infeasible", "floor", "edge"}
+
+
+class TestExactEdgeGuesses:
+    """A model's exact security edge only chooses the midpoints the first criterion
+    call tests: whatever the edge, every point and every t_min is the one-level
+    search, bit for bit, in no more calls than the search without it."""
+
+    SINGLE_PHOTON = ("thermal-bath", "noise-before/thermal", "noise-before/poisson")
+    MOVES = {
+        "exact": lambda edge: edge,
+        "1e-3 relative": lambda edge: edge * (1.0 + 1e-3),
+        "1e-7 relative": lambda edge: edge * (1.0 - 1e-7),  # across a rung just below it
+        "NaN": lambda edge: np.full_like(edge, np.nan),
+        "0": np.zeros_like,
+        "inf": lambda edge: np.full_like(edge, np.inf),
+    }
+    EDGES = ("security_edge", "t_min_edge")
+
+    @classmethod
+    def _move_edges(cls, monkeypatch, move):
+        for module in (thermal_bath, noise_before):
+            for name in cls.EDGES:
+                true = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda params, true=true: move(true(params)))
+
+    @pytest.mark.parametrize("move", list(MOVES))
+    @pytest.mark.parametrize("variant", SINGLE_PHOTON)
+    def test_sweeps_and_t_min_match_the_one_level_search(self, variant, move, monkeypatch):
+        calls = TestBisectionLevels._counting(monkeypatch)
+        for params, grid in TestBisectionLevels._configs(variant, boundary.SECURITY, 4):
+            today = []  # the calls of the sweep and of t_min without an edge
+            with monkeypatch.context() as m:
+                for name in self.EDGES:
+                    m.delattr(channel.model(params).module, name)
+                calls.clear()
+                boundary.sweep(params, boundary.SECURITY, grid)
+                today.append(len(calls))
+                calls.clear()
+                boundary.t_min_numeric(params)
+                today.append(len(calls))
+            with monkeypatch.context() as m:
+                self._move_edges(m, self.MOVES[move])
+                calls.clear()
+                points = boundary.sweep(params, boundary.SECURITY, grid).points
+                taken = len(calls)
+                calls.clear()
+                t_min = boundary.t_min_numeric(params)
+                assert taken <= today[0] and len(calls) <= today[1], params
+            pred = boundary.criterion_predicate(params, boundary.SECURITY)
+            want_mu_max, want_feasible = ref.search_mu_max_doubling(pred, grid)
+            assert np.array([pt.mu_max for pt in points]).tobytes() == want_mu_max.tobytes()
+            assert [pt.feasible for pt in points] == want_feasible.tolist()
+            assert repr(t_min) == repr(ref.t_min_numeric_one_level(params)), params
+
+    @pytest.mark.parametrize("move", list(MOVES))
+    def test_step_thresholds_match_the_one_level_search(self, move, monkeypatch):
+        # the margin threshold - mu in place of security's, and its edge moved as the case says
+        rungs = boundary._LADDER
+        thresholds = {
+            "at a rung": [rungs[2], rungs[20], rungs[-2], rungs[-1]],
+            "just above a rung": [np.nextafter(r, 2.0 * r) for r in (rungs[2], rungs[30])],
+            "between two rungs": [0.5 * (rungs[5] + rungs[6]), 0.3, 1e-3],
+            "below the first rung": [0.5 * rungs[1]],
+            "above the ceiling": [2.0 * boundary.MU_CEILING],
+        }
+        calls, ts = [], np.geomspace(1e-3, 1.0, 4)
+
+        def step(params, criterion):
+            def margin(mu, T):
+                calls.append(1)
+                return threshold - mu
+
+            return margin
+
+        monkeypatch.setattr(boundary, "criterion_margin", step)
+        for case, values in thresholds.items():
+            for threshold in values:
+                want = ref.search_mu_max_doubling(lambda mu, T: threshold - mu > 0.0, ts)
+                taken = []
+                for edge in (None, lambda params: self.MOVES[move](np.full(ts.size, threshold))):
+                    if edge is None:
+                        monkeypatch.delattr(thermal_bath, "security_edge")
+                    else:
+                        monkeypatch.setattr(thermal_bath, "security_edge", edge, raising=False)
+                    calls.clear()
+                    curve = boundary.sweep(tb_params(), boundary.SECURITY, ts)
+                    taken.append(len(calls))
+                    got = np.array([pt.mu_max for pt in curve.points])
+                    assert got.tobytes() == want[0].tobytes(), (case, threshold)
+                assert taken[1] <= taken[0], (case, threshold)
+                if move == "exact":
+                    assert taken[1] == 1 or case == "below the first rung", (case, threshold)
+
+    @pytest.mark.parametrize("move", list(MOVES))
+    def test_t_min_step_thresholds_match_the_one_level_search(self, move, monkeypatch):
+        # security holding for T >= threshold, and its edge moved as the case says
+        rungs = boundary._T_LADDER[1:-1]
+        thresholds = [rungs[0], rungs[1], rungs[20], rungs[-2], 0.5 * (rungs[5] + rungs[6]), 0.3]
+        thresholds += [np.nextafter(r, 1.0) for r in (rungs[0], rungs[20])] + [1e-3, 1e-8]
+        calls = []
+
+        def step(params, criterion):
+            def pred(mu, T):
+                calls.append(1)
+                return np.asarray(T) >= threshold
+
+            return pred
+
+        monkeypatch.setattr(boundary, "criterion_predicate", step)
+        for threshold in thresholds:
+            want = ref.t_min_numeric_one_level(tb_params(d=1e-6))
+            taken = []
+            for edge in (None, lambda params: self.MOVES[move](np.float64(threshold))):
+                if edge is None:
+                    monkeypatch.delattr(thermal_bath, "t_min_edge")
+                else:
+                    monkeypatch.setattr(thermal_bath, "t_min_edge", edge, raising=False)
+                calls.clear()
+                got = boundary.t_min_numeric(tb_params(d=1e-6))
+                taken.append(len(calls))
+                assert repr(got) == repr(want), threshold
+            assert taken[1] <= taken[0], threshold
+            if move == "exact":
+                assert taken[1] == 1, threshold
+
+    @pytest.mark.parametrize("variant", SINGLE_PHOTON)
+    def test_security_sweeps_and_t_min_take_one_call(self, variant, monkeypatch):
+        calls, swept = TestBisectionLevels._counting(monkeypatch), 0
+        for params, grid in TestBisectionLevels._configs(variant, boundary.SECURITY, 20):
+            calls.clear()
+            points = boundary.sweep(params, boundary.SECURITY, grid).points
+            # an edge below the ladder's first rung bisects from [0, MU_SEED], unguessed
+            if not any(pt.feasible and pt.mu_max < boundary.MU_SEED for pt in points):
+                assert len(calls) == 1, params
+                swept += 1
+            calls.clear()
+            boundary.t_min_numeric(params)
+            assert len(calls) == 1, params
+        assert swept >= 15
+
+
 class TestAnalyticFormulas:
     def test_minimal_transmittance_value(self):
         got = boundary.t_min_ideal_source(p=1.0, e=0.0, d=1e-5)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -355,6 +356,26 @@ def test_readme_example_matches_reference(name, argv, out_file, tmp_path, monkey
                 assert got == ref, (row, column)
 
 
+# zero, one, subnormal and tiny values, and values a few ulps short of 1
+EXTREME = ["0", "1", "1e-300", "1e-305", "5e-324", "2.2e-308", "1e-15", "1e-12", "1e-9", "1e-3",
+           "0.22", "0.3", "0.5", "0.9999999"]
+
+
+def test_extreme_values_of_every_model_end_in_an_exit_code_and_one_line(capsys):
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        command = rng.choice(["sweep", "tmin", "point"])
+        argv = [command, "--model", rng.choice(["thermal-bath", "noise-before", "spdc"])]
+        argv += ["--noise", rng.choice(["thermal", "poisson"])]
+        argv += [f"{flag}={rng.choice(EXTREME)}" for flag in ("--p", "--e", "--d", "--nu")]
+        if command == "sweep":
+            argv += ["--criteria", "security,nc,ng", "--t-grid", f"{rng.choice(EXTREME)}:1:5:log"]
+        elif command == "point":
+            argv += [f"--t={rng.choice(EXTREME)}", f"--mu={rng.choice(EXTREME)}"]
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 2, 3) and len(err.splitlines()) == (code == 2), (argv, err)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -367,6 +388,12 @@ def test_readme_example_matches_reference(name, argv, out_file, tmp_path, monkey
         ["ng-curve", "--points", "1000000000"],
         ["witness", "--ps", "1e-3", "--out", "/no/such/dir/x.csv"],
         ["witness", "--ps", "1e-3", "--out", "."],
+        # a QBER that rounds above 1/2 and a subnormal pair mean once printed the whole array
+        ["tmin", "--model", "thermal-bath", "--p", "1e-300", "--e", "1"],
+        ["sweep", "--model", "noise-before", "--p", "1e-15", "--e", "0.9999999", "--d", "0.9999999",
+         "--noise", "poisson", "--criteria", "security", "--t-grid", "1e-9:1:5:log"],
+        ["sweep", "--model", "spdc", "--p", "0.22", "--e", "1e-12", "--d", "1e-300",
+         "--nu", "5e-324", "--criteria", "ng", "--t-grid", "0.5:1:3:lin"],
     ],
 )
 def test_extreme_inputs_end_in_an_exit_code(capsys, argv):
@@ -444,6 +471,7 @@ def test_cli_runtime_does_not_load_scipy():
 # Monte Carlo samples, 20 grid points and 64 table points) so each run takes milliseconds
 _NUMBER = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-1", "1e300", "-1e300", "1e-300"]),
+    st.sampled_from(EXTREME),
     st.floats(min_value=0.0, max_value=1.0).map(repr),
     st.integers(min_value=-12, max_value=0).map(lambda k: f"1e{k}"),
 )

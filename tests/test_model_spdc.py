@@ -1,11 +1,12 @@
 import math
+import sys
 
 import pytest
 
 import _reference as ref
 from dvqkd import spdc
 from dvqkd import thermal_bath as tb
-from dvqkd.errors import UndefinedRateError
+from dvqkd.errors import ParameterDomainError, UndefinedRateError
 
 
 def params(nu=0.01, T=0.5, mu=0.1, e=0.0, d=0.0):
@@ -119,6 +120,12 @@ class TestClickStats:
     def test_requires_heralds(self):
         with pytest.raises(UndefinedRateError):
             spdc.click_stats(params(nu=0.0))
+
+    def test_subnormal_pair_mean_is_refused(self):
+        # the herald 1 - e^-nu divides the click statistics and keeps no digits there
+        with pytest.raises(ParameterDomainError, match="^pair mean must be 0 or at least"):
+            params(nu=5e-324)
+        assert params(nu=sys.float_info.min).nu == sys.float_info.min
 
 
 class TestOmega:

@@ -26,6 +26,18 @@ class TestClickStats:
         s = witness.ClickStats(p_single=0.3, p_coincidence=-1e-13, p_none=0.7)
         assert s.p_coincidence == 0.0
 
+    def test_range_messages_name_the_first_offender_and_a_count(self):
+        ps = np.full(50, 0.3)
+        ps[[7, 20]] = 1.5
+        with pytest.raises(ParameterDomainError) as info:
+            witness.ClickStats(p_single=ps, p_coincidence=np.zeros(50), p_none=1.0 - ps)
+        assert str(info.value) == "p_single out of [0, 1]: 1.5 at element 7 (2 of 50 outside)"
+        none = np.full(40, 0.7)
+        none[3] = 0.8
+        with pytest.raises(ParameterDomainError, match=r"^click probabilities must sum to 1, "
+                           r"off by 0\.1\d* at element 3 \(1 of 40 outside\)$"):
+            witness.ClickStats(p_single=np.full(40, 0.3), p_coincidence=np.zeros(40), p_none=none)
+
 
 class TestNcBoundary:
     def test_closed_root_at_half(self):
