@@ -7,17 +7,17 @@ positive exactly where it holds (``criterion_margin``; the predicate is its
 sign), and finds the largest mu at which it still holds, on all
 transmittances of a sweep at once.  Assuming every criterion monotone in mu
 (noise only hurts; ``tests/test_boundary.py`` checks it on seeded
-configurations), it brackets the edge on the ladder of mu = 0 and the
-doublings MU_SEED * 2^j, capped at the ceiling, and bisects it
-(``roots.bisect_predicate``): the first call tests the whole ladder of a
-60-point sweep, the second several bisection levels, whose margin values
+configurations), it climbs the ladder of mu = 0 and the doublings
+MU_SEED * 2^j, capped at the ceiling, and bisects from each point's first
+failing rung (``roots.ladder_search``): the first call tests the whole ladder
+of up to 78 points, the second several bisection levels, whose margin values
 guess the edge, and the third the path of midpoints the guess implies.
 Where a model has an exact security edge (``security_edge``, ``t_min_edge``),
-the first call also tests that path: single-photon security sweeps and
-``t_min_numeric`` take one call.  Each bracket ends as in a bisection of one
-level per call.  ``t_min_numeric`` tests both ends and the midpoints its
-bisection visits while security holds in one call, and bisects on from the
-first that fails.
+the first call also tests that path, at any number of points: single-photon
+security sweeps and ``t_min_numeric`` take one call where the climb ends in
+it.  Each bracket ends as in a bisection of one level per call.
+``t_min_numeric`` is the same search on one point, up the ladder of T = 1 and
+the midpoints its bisection visits while security holds.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ import numpy as np
 
 from . import channel, noise_before, spdc, thermal_bath
 from .errors import ParameterDomainError
-from .roots import bisect_predicate, guessed_path, wide
+# bisect_predicate stays importable from here, where callers look it up
+from .roots import bisect_predicate, ladder_search, wide  # noqa: F401
 from .security import qber_threshold, y_threshold
 # the witnesses' decisions stay importable from here, where callers look them up
 from .witness import ClickStats, is_nonclassical, is_nongaussian  # noqa: F401
@@ -49,8 +50,6 @@ MU_CEILING = 1e3  # thermal means beyond this are unphysical for the setting
 MU_SEED = 1e-12  # first rung of the doubling ladder
 T_FLOOR = 1e-9  # smallest transmittance t_min_numeric probes
 SECURITY_MARGIN = 1e-12  # "secure" means delta_i strictly above this
-
-_LADDER_WIDTH = 4096  # mu values per ladder call, unless more points are climbing
 
 # mu = 0, then the doubling ladder MU_SEED * 2^j up to its first rung at the ceiling; a
 # power-of-two multiple is exact, so each rung is bit-equal to repeated doubling
@@ -150,50 +149,13 @@ def _search_mu_max(
     margin: Callable, ts: np.ndarray, edge: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(mu_max, feasible) per transmittance: where margin(0, T) > 0, the largest mu
-    with margin(mu, T) > 0; elsewhere 0.  An element leaves the search once its own
-    bracket is done, so it ends as a search of its own would.
-
-    The points still climbing all stand on one rung of ``_LADDER``, which starts at
-    mu = 0; each call tests the next ``_LADDER_WIDTH // climbing`` rungs of each (at
-    least one), as one flat array, so up to 78 points test the whole ladder at once.
-    The bisection (``roots.bisect_predicate``) gets the margin itself: its values
-    on a bracket's first tree levels guess the edge, and the next call tests the
-    path the guess implies.  A margin that is only a boolean works too, unguessed.
-    Given an exact ``edge`` per point, of up to 78 points, the first call also tests
-    the path of the bracket it falls in (``roots.guessed_path``); a point whose ladder
-    bracket and path confirm it is done, and every other point goes on as without it.
+    with margin(mu, T) > 0; elsewhere 0.  The ``roots.ladder_search`` of ``_LADDER``,
+    guessed at ``edge`` where given: an element leaves it once its own bracket is
+    done, so it ends as a search of its own would.  A margin that is only a boolean
+    works too, unguessed.
     """
-    first = np.full(ts.size, _LADDER.size)  # each point's first failing rung, if any
-    which, rung = np.arange(ts.size), 0  # still climbing, next rung to test
-    guessed, path, at = np.empty(0, dtype=int), np.empty(0), np.empty(0)  # at: the paths' T
-    if edge is not None and ts.size <= _LADDER_WIDTH // _LADDER.size:  # all in the first call
-        k = np.searchsorted(_LADDER, edge)  # the rungs below the edge
-        guessed = np.flatnonzero((k > 1) & (k < _LADDER.size))
-        path, elements, finish = guessed_path(
-            _LADDER[k[guessed] - 1], _LADDER[k[guessed]], edge[guessed]
-        )
-        at = ts[guessed[elements]]
-    while which.size and rung < _LADDER.size:
-        rungs = _LADDER[rung : rung + max(1, _LADDER_WIDTH // which.size)]
-        mu = np.concatenate([np.tile(rungs, which.size), path])  # the paths: one call only
-        out = margin(mu, np.concatenate([np.repeat(ts[which], rungs.size), at]))
-        ok = (out[: which.size * rungs.size] > 0.0).reshape(which.size, rungs.size)
-        on_path = out[ok.size :]
-        stop = ~ok.all(axis=1)
-        first[which[stop]] = rung + np.argmin(ok[stop], axis=1)
-        which, rung = which[~stop], rung + rungs.size
-    feasible, ceiling = first > 0, first == _LADDER.size
-    mu_max = np.where(ceiling, MU_CEILING, 0.0)
-    if guessed.size:
-        holds, fails = finish(on_path)
-        hit = (first[guessed] == k[guessed]) & ~np.isnan(holds)
-        mu_max[guessed[hit]] = 0.5 * (holds[hit] + fails[hit])
-    rest = np.flatnonzero(feasible & (mu_max == 0.0))  # neither at the ceiling nor guessed
-    holds, fails = bisect_predicate(
-        lambda mu, i: margin(mu, ts[rest[i]]), _LADDER[first[rest] - 1], _LADDER[first[rest]]
-    )
-    mu_max[rest] = 0.5 * (holds + fails)
-    return mu_max, feasible
+    first, holds, fails = ladder_search(lambda mu, i: margin(mu, ts[i]), _LADDER, ts.size, edge)
+    return 0.5 * (holds + fails), first > 0
 
 
 def sweep(params: ModelParams, criterion: str, t_grid: Sequence[float]) -> BoundaryCurve:
@@ -210,36 +172,21 @@ def t_min_numeric(params: ModelParams) -> Optional[float]:
     """Smallest transmittance with a positive secret fraction at mu = 0.
 
     Returns 0.0 when security survives down to ``T_FLOOR`` (no positive
-    threshold) and None when it fails even at T = 1.  One predicate call tests
-    both ends and every midpoint the bisection between them visits while
-    security holds (``_T_LADDER``); the bisection goes on from the first that
-    fails, as the one from [1, T_FLOOR] would, well within ``roots._MAX_STEPS``.
-    Where the model has an exact edge (``t_min_edge``) in a ``wide`` bracket, the
-    call also tests that bracket's path (``roots.guessed_path``), which ends the
-    search where the ladder and the path confirm it.  The bisection gets the
-    predicate, which takes no guess: its one bracket tests ten levels per call.
+    threshold) and None when it fails even at T = 1.  The ``roots.ladder_search``
+    of ``_T_LADDER``, whose rungs are the midpoints the bisection of [1, T_FLOOR]
+    visits while security holds: one call tests all of them, and the bisection
+    goes on from the first that fails, as the one from [1, T_FLOOR] would, well
+    within ``roots._MAX_STEPS``.  Where the model has an exact edge
+    (``t_min_edge``), that call also tests the edge's path.  The bisection gets
+    the predicate, which takes no guess: its one bracket tests ten levels per call.
     """
     pred = criterion_predicate(params, SECURITY)
-    edge = getattr(channel.model(params).module, "t_min_edge", lambda params: math.nan)(params)
-    k = int(np.count_nonzero(_T_LADDER >= edge))  # the rungs above it
-    path, finish = np.empty(0), None
-    if 0 < k < _T_LADDER.size and wide(_T_LADDER[k - 1], _T_LADDER[k]):
-        path, _, finish = guessed_path(_T_LADDER[k - 1], _T_LADDER[k], edge)
-    ok = pred(0.0, np.concatenate([_T_LADDER, path]))
-    ok, on_path = ok[: _T_LADDER.size], ok[_T_LADDER.size :]
-    if not ok[0]:
+    edge = getattr(channel.model(params).module, "t_min_edge", None)
+    guess = None if edge is None else np.array([edge(params)])
+    first, holds, _ = ladder_search(lambda t, i: pred(0.0, t), _T_LADDER, 1, guess)
+    if first[0] == 0:
         return None
-    if ok[-1]:
-        return 0.0
-    j = int(np.argmin(ok))  # the first failing rung
-    holds, fails = _T_LADDER[j - 1], _T_LADDER[j]
-    if finish is not None and j == k:
-        end, _ = finish(on_path)
-        if not np.isnan(end[0]):
-            return float(end[0])
-    if wide(holds, fails):
-        holds, _ = bisect_predicate(lambda t, i: pred(0.0, t), holds, fails)
-    return float(holds)
+    return 0.0 if first[0] == _T_LADDER.size else float(holds[0])
 
 
 # --- closed-form small-T / small-nu evaluators ---------------------------------

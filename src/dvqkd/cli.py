@@ -206,9 +206,10 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         "ng_boundary": witness.ng_boundary(args.ps),
     }
     if args.pc is not None:
-        stats = witness.ClickStats(
-            p_single=args.ps, p_coincidence=args.pc, p_none=1.0 - args.ps - args.pc
-        )
+        p_none = 1.0 - args.ps - args.pc
+        if p_none < witness._NEG_CLAMP:  # the rounding ClickStats forgives
+            raise _CliError(f"--ps and --pc sum to more than 1: {args.ps} + {args.pc}")
+        stats = witness.ClickStats(p_single=args.ps, p_coincidence=args.pc, p_none=p_none)
         row["nonclassical"] = bool(witness.is_nonclassical(stats))
         row["nongaussian"] = bool(witness.is_nongaussian(stats))
     _emit([row], args)

@@ -1,4 +1,4 @@
-"""Bracketed bisection of predicate edges.
+"""Bracketed bisection of predicate edges, and the ladder search built on it.
 
 Bisection serves the edges of the criteria, which are predicates: a margin
 may stand in for one, but only its sign decides, and bisection converges on
@@ -10,7 +10,9 @@ bracket with one end at 0.  Given a real margin in place of the predicate,
 it reads a guess of each edge off the margin's values on a bracket's tree,
 then tests in one call every midpoint the bisection would visit if the edge
 were there, and keeps those the predicate confirms: the guess saves calls,
-never moves a result.  ``guessed_path`` gives that path for a guess from elsewhere.
+never moves a result.  ``ladder_search`` climbs a ladder of values to each
+point's first failing rung and bisects from there; a guess of each edge from
+elsewhere puts that path in its first call.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 REL_TOL = 1e-6  # relative bracket width of bisect_predicate
 _MAX_STEPS = 200  # stops a bracket that cannot shrink relatively (an end at 0)
 _CALL_WIDTH = 1024  # predicate elements per call, unless more brackets are live
-_GUESS_WIDTH = 4096  # guessed-path values per call, unless more brackets are guessed
+_GUESS_WIDTH = 4096  # ladder rungs or guessed-path values per call, unless more points take them
 _GUESS_DEPTH = 4  # tree levels, so 15 nodes, of a margin that give a bracket its guess
 _STENCIL = 12  # nodes of the polynomial whose root is the guess
 _FIT_TOL = 1e-6  # largest miss of that polynomial next to its nodes, relative to the margin
@@ -60,11 +62,74 @@ def bisect_predicate(test: Callable, holds, fails) -> tuple:
     without a guess.  So a guess only chooses which midpoints are tested, never
     a result.
     """
-    shape = np.shape(holds)
+    shape, size = np.shape(holds), np.size(holds)
     holds, fails = np.array(holds, dtype=float).ravel(), np.array(fails, dtype=float).ravel()
-    live, left = np.arange(holds.size), np.full(holds.size, _MAX_STEPS)  # steps each may take
+    _bisect(test, holds, fails, np.full(size, _MAX_STEPS), np.full(size, np.nan), np.arange(size))
+    return holds.reshape(shape), fails.reshape(shape)
+
+
+def ladder_search(test: Callable, ladder: np.ndarray, count: int, guess=None) -> tuple:
+    """(first, holds, fails) of ``count`` points climbing ``ladder``, a monotone array
+    of values: each point's first rung where the predicate fails (``ladder.size`` if
+    none), and its final bracket, which ``bisect_predicate`` ends from the rungs
+    ``first - 1`` and ``first`` where they are ``wide``; where first is 0 or
+    ``ladder.size``, the first or the last rung at both ends.  ``test(x, i)`` tells,
+    as there, whether the predicate holds at values x of points i.
+
+    The predicate is taken to fail on every rung after the first that fails.  The
+    points still climbing stand on one rung, and each call tests the next
+    ``_GUESS_WIDTH // climbing`` rungs of each (at least one).  Given a ``guess`` of
+    each point's edge, the first call also tests the ``_path`` of the wide bracket
+    of rungs around it.  Where the climb confirms that bracket, the bisection goes
+    on from the path's last confirmed step: unguessed after a step the predicate
+    disagreed with, still guessed where the width cut the path short.  So a guess
+    only chooses which values are tested, never a result.
+    """
+    size, k, path = ladder.size, -1, _NO_STEPS  # k: the rung after each guess
+    holds, fails, left = np.empty(count), np.empty(count), np.zeros(count, dtype=int)
+    guessed = np.full(count, np.nan)
+    if guess is not None:  # each point starts from the bracket of rungs around its guess
+        up = ladder[0] < ladder[-1]  # the rungs on the holds side of it, as _path splits there
+        k = ladder.searchsorted(guess) if up else size - ladder[::-1].searchsorted(guess)
+        holds, fails, left = _rungs(ladder, k)
+        on = left > 0
+        guessed[on] = guess[on]
+        path = _path(holds, fails, left, guessed, on.nonzero()[0])
+    first, which, rung = np.full(count, size), np.arange(count), 0  # which: still climbing
+    while which.size and rung < size:
+        rungs = ladder[rung : rung + max(1, _GUESS_WIDTH // which.size)]
+        values, elements, settle = path
+        path = _NO_STEPS  # the paths ride in the first call only
+        x = np.concatenate([np.tile(rungs, which.size), values])
+        out = test(x, np.concatenate([which.repeat(rungs.size), elements]))
+        ok = (out[: which.size * rungs.size] > 0.0).reshape(which.size, rungs.size)
+        settle(out[ok.size :])
+        stop = ~ok.all(axis=1)
+        first[which[stop]] = rung + ok[stop].argmin(axis=1)
+        which, rung = which[~stop], rung + rungs.size
+    fresh = (first != k).nonzero()[0]  # every other point goes on from its climb's bracket
+    if fresh.size:
+        holds[fresh], fails[fresh], left[fresh] = _rungs(ladder, first[fresh])
+        guessed[fresh] = np.nan
+    _bisect(test, holds, fails, left, guessed, (left > 0).nonzero()[0])
+    return first, holds, fails
+
+
+def _rungs(ladder, k) -> tuple:
+    """(holds, fails, left) of the brackets of rungs ``k - 1`` and ``k``: the first or
+    the last rung at both ends where k is 0 or ``ladder.size``; ``_MAX_STEPS`` steps
+    left where ``wide``, else none."""
+    holds, fails = ladder[np.maximum(k - 1, 0)], ladder[np.minimum(k, ladder.size - 1)]
+    return holds, fails, _MAX_STEPS * wide(holds, fails)
+
+
+def _bisect(test, holds, fails, left, guess, live) -> None:
+    """Moves the brackets ``live`` in place as ``bisect_predicate`` does, each with
+    ``left`` steps to take and its ``guess`` or NaN."""
+    if not live.size:
+        return
     zero = (holds == 0.0) | (fails == 0.0)  # an end at 0 from the start, while it stays there
-    guess, tried = np.full(holds.size, np.nan), np.zeros(holds.size, dtype=bool)
+    tried = np.zeros(holds.size, dtype=bool)
     while live.size:
         guessed = ~np.isnan(guess[live])
         steps = (
@@ -77,7 +142,6 @@ def bisect_predicate(test: Callable, holds, fails) -> tuple:
             settle(out[at : at + values.size])
             at += values.size
         live = live[left[live] > 0]
-    return holds.reshape(shape), fails.reshape(shape)
 
 
 # (values, elements, settle) of a part of a call with no brackets
@@ -223,22 +287,24 @@ def _path(holds, fails, left, guess, rows):
     if not rows.size:
         return _NO_STEPS
     h, f, g = holds[rows], fails[rows], guess[rows]
-    # the steps until the bracket is not wide, at most: ceil(log2(width / (REL_TOL x)))
-    # for the smaller end x, as the width halves each step and both ends stay above x
-    (m, e), (m_tol, e_tol) = np.frexp(np.abs(f - h)), np.frexp(REL_TOL * np.minimum(h, f))
+    # the steps until the bracket is not wide, at most: ceil(log2(width / (REL_TOL g)))
+    # for the guess g, as the width halves each step and the upper end stays above g
+    # (for a guess in the bracket; a path cut short goes on in the next call)
+    (m, e), (m_tol, e_tol) = np.frexp(np.abs(f - h)), np.frexp(REL_TOL * g)
     need = e - e_tol + (m > m_tol)
     cap = max(1, _GUESS_WIDTH // rows.size)
     count = np.minimum(np.maximum(np.minimum(need, left[rows]), 1), cap)  # steps tested now
     steps = count.max()
     mids, moves = np.empty((steps, rows.size)), np.empty((steps, 2, rows.size), dtype=bool)
     ends = np.empty((steps + 1, 2, rows.size))  # each step's lower and upper end before it
-    ends[0] = np.minimum(h, f), np.maximum(h, f)
+    np.minimum(h, f, out=ends[0, 0])
+    np.maximum(h, f, out=ends[0, 1])
     for mid, move, before, after in zip(mids, moves, ends, ends[1:]):
         np.multiply(np.add(before[0], before[1], out=mid), 0.5, out=mid)
         # the midpoint moves the lower end where it is below the guess, else the upper
         np.logical_not(np.less(mid, g, out=move[0]), out=move[1])
-        np.copyto(after, before)
-        np.copyto(after, mid, where=move)
+        after[...] = before
+        np.putmask(after, move, mid)  # mid repeats over both ends
     mids, up, lo, hi = mids.T, moves[:, 0].T, ends[:-1, 0].T, ends[:-1, 1].T
     step = np.arange(mids.shape[1])
     tested = step < count[:, None]
@@ -256,22 +322,7 @@ def _path(holds, fails, left, guess, rows):
         last = _settle(holds, fails, left, rows, h_at, f_at, stray | (step == count[:, None] - 1))
         guess[rows[stray[np.arange(rows.size), last]]] = np.nan
 
-    return mids[tested], np.repeat(rows, count), settle
-
-
-def guessed_path(holds, fails, guess) -> tuple:
-    """(values, elements, finish) of the ``_path`` of each bracket, ends positive, as far
-    as ``_GUESS_WIDTH`` values allow.  finish(out) gives the brackets (holds, fails) at
-    which the bisections end where out agrees with the guess until then, else NaN."""
-    holds, fails, guess = (np.array(x, dtype=float).ravel() for x in (holds, fails, guess))
-    left = np.full(holds.size, _MAX_STEPS)  # holds and fails are copies _path moves
-    values, elements, settle = _path(holds, fails, left, guess, np.arange(holds.size))
-
-    def finish(out):
-        settle(out)
-        return np.where(left == 0, holds, np.nan), np.where(left == 0, fails, np.nan)
-
-    return values, elements, finish
+    return mids[tested], rows.repeat(count), settle
 
 
 def _settle(holds, fails, left, rows, h, f, stop) -> np.ndarray:

@@ -364,7 +364,7 @@ class TestLadderSearch:
         assert calls[0] == (5000, 5000, True)  # more points than the width: mu = 0 each
         assert calls[1] == (5000, 5000, True)  # then one rung each
         for size, points, ladder in calls:
-            assert size <= max(points, boundary._LADDER_WIDTH if ladder else roots._CALL_WIDTH)
+            assert size <= max(points, roots._GUESS_WIDTH if ladder else roots._CALL_WIDTH)
         assert any(ladder and size > points for size, points, ladder in calls)
         want_mu_max, _ = ref.search_mu_max_doubling(pred, ts)
         assert mu_max.tobytes() == want_mu_max.tobytes() and feasible.all()
@@ -894,6 +894,33 @@ class TestExactEdgeGuesses:
             assert [pt.feasible for pt in points] == want_feasible.tolist()
             assert repr(t_min) == repr(ref.t_min_numeric_one_level(params)), params
 
+    @pytest.mark.parametrize("points", [60, 78, 79, 200, 5000])
+    @pytest.mark.parametrize("variant", SINGLE_PHOTON)
+    def test_sweeps_of_every_size_match_the_one_level_search(self, variant, points, monkeypatch):
+        # the paths of the edges ride in the first call at any number of points
+        kind = {"thermal-bath": None, "noise-before/thermal": "thermal"}.get(variant, "poisson")
+        params = (
+            tb_params(p=0.7, e=0.01, d=1e-6) if kind is None
+            else noise_before.NoiseBeforeParams(p=0.7, T=1.0, mu=0.0, e=0.01, d=1e-6, noise_kind=kind)
+        )
+        grid = np.geomspace(1e-4, 0.5, points)
+        want = ref.search_mu_max_doubling(boundary.criterion_predicate(params, boundary.SECURITY), grid)
+        calls = TestBisectionLevels._counting(monkeypatch)
+        with monkeypatch.context() as m:
+            m.delattr(channel.model(params).module, "security_edge")
+            boundary.sweep(params, boundary.SECURITY, grid)
+        today = len(calls)  # the calls without an edge
+        for move in self.MOVES:
+            calls.clear()
+            with monkeypatch.context() as m:
+                self._move_edges(m, self.MOVES[move])
+                got = boundary.sweep(params, boundary.SECURITY, grid).points
+            assert np.array([pt.mu_max for pt in got]).tobytes() == want[0].tobytes(), move
+            assert [pt.feasible for pt in got] == want[1].tolist(), move
+            assert len(calls) <= today, move
+            if move == "exact" and points <= 79:  # every point's path fits the first call
+                assert len(calls) == 1
+
     @pytest.mark.parametrize("move", list(MOVES))
     def test_step_thresholds_match_the_one_level_search(self, move, monkeypatch):
         # the margin threshold - mu in place of security's, and its edge moved as the case says
@@ -902,7 +929,7 @@ class TestExactEdgeGuesses:
             "at a rung": [rungs[2], rungs[20], rungs[-2], rungs[-1]],
             "just above a rung": [np.nextafter(r, 2.0 * r) for r in (rungs[2], rungs[30])],
             "between two rungs": [0.5 * (rungs[5] + rungs[6]), 0.3, 1e-3],
-            "below the first rung": [0.5 * rungs[1]],
+            "below the first rung": [0.5 * rungs[1], 1e-20],
             "above the ceiling": [2.0 * boundary.MU_CEILING],
         }
         calls, ts = [], np.geomspace(1e-3, 1.0, 4)
@@ -931,7 +958,7 @@ class TestExactEdgeGuesses:
                     assert got.tobytes() == want[0].tobytes(), (case, threshold)
                 assert taken[1] <= taken[0], (case, threshold)
                 if move == "exact":
-                    assert taken[1] == 1 or case == "below the first rung", (case, threshold)
+                    assert taken[1] == 1, (case, threshold)
 
     @pytest.mark.parametrize("move", list(MOVES))
     def test_t_min_step_thresholds_match_the_one_level_search(self, move, monkeypatch):
@@ -967,18 +994,14 @@ class TestExactEdgeGuesses:
 
     @pytest.mark.parametrize("variant", SINGLE_PHOTON)
     def test_security_sweeps_and_t_min_take_one_call(self, variant, monkeypatch):
-        calls, swept = TestBisectionLevels._counting(monkeypatch), 0
+        calls = TestBisectionLevels._counting(monkeypatch)
         for params, grid in TestBisectionLevels._configs(variant, boundary.SECURITY, 20):
             calls.clear()
-            points = boundary.sweep(params, boundary.SECURITY, grid).points
-            # an edge below the ladder's first rung bisects from [0, MU_SEED], unguessed
-            if not any(pt.feasible and pt.mu_max < boundary.MU_SEED for pt in points):
-                assert len(calls) == 1, params
-                swept += 1
+            boundary.sweep(params, boundary.SECURITY, grid)
+            assert len(calls) == 1, params
             calls.clear()
             boundary.t_min_numeric(params)
             assert len(calls) == 1, params
-        assert swept >= 15
 
 
 class TestAnalyticFormulas:

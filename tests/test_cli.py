@@ -432,6 +432,15 @@ def test_mu_is_rejected_where_the_solver_sets_it(capsys, argv):
     assert err.startswith("error: ")
 
 
+def test_witness_probabilities_summing_past_one_name_both_flags(capsys):
+    code, out, err = run(capsys, "witness", "--ps", "0.3", "--pc", "0.8")
+    assert (code, out) == (2, "")
+    assert err == "error: --ps and --pc sum to more than 1: 0.3 + 0.8\n"
+    # a sum above 1 by rounding alone is forgiven, as ClickStats forgives it
+    code, _, _ = run(capsys, "witness", "--ps", "0.4", "--pc", "0.60000000000001")
+    assert code == 0
+
+
 def test_negative_seed_names_the_flag(capsys):
     code, out, err = run(capsys, "mc-validate", "--model", "spdc", "--samples", "10", "--seed", "-1")
     assert (code, out) == (2, "")
