@@ -12,10 +12,11 @@ MU_SEED * 2^j, capped at the ceiling, and bisects from each point's first
 failing rung (``roots.ladder_search``): the first call tests the whole ladder
 of up to 78 points, the second several bisection levels, whose margin values
 guess the edge, and the third the path of midpoints the guess implies.
-Where a model has an exact security edge (``security_edge``, ``t_min_edge``),
-the first call also tests that path, at any number of points: single-photon
-security sweeps and ``t_min_numeric`` take one call where the climb ends in
-it.  Each bracket ends as in a bisection of one level per call.
+Where a model has an exact edge of the criterion (``security_edge``,
+``t_min_edge``, ``nonclassical_edge``), the first call also tests that path,
+at any number of points: single-photon security and nonclassical sweeps and
+``t_min_numeric`` take one call where the climb ends in it and the edges
+hold.  Each bracket ends as in a bisection of one level per call.
 ``t_min_numeric`` is the same search on one point, up the ladder of T = 1 and
 the midpoints its bisection visits while security holds.
 """
@@ -45,6 +46,9 @@ SECURITY = "security"
 NONCLASSICAL = "nonclassical"
 NONGAUSSIAN = "nongaussian"
 CRITERIA = (SECURITY, NONCLASSICAL, NONGAUSSIAN)
+
+# the name of a model's exact edge of each criterion, where it has one
+_EDGE_NAMES = {SECURITY: "security_edge", NONCLASSICAL: "nonclassical_edge"}
 
 MU_CEILING = 1e3  # thermal means beyond this are unphysical for the setting
 MU_SEED = 1e-12  # first rung of the doubling ladder
@@ -139,9 +143,13 @@ def mu_max_numeric(params: ModelParams, criterion: str) -> Optional[float]:
 
 
 def _search(params: ModelParams, criterion: str, ts: np.ndarray) -> tuple:
-    """``_search_mu_max`` of the criterion, guessed by the model's exact edge if any."""
-    edge = getattr(channel.model(params).module, "security_edge", None)
-    edge = edge(replace(params, T=ts)) if edge and criterion == SECURITY else None
+    """``_search_mu_max`` of the criterion, guessed by the model's exact edge of it if any
+    (``_EDGE_NAMES``): the security edge of a single-photon source, or the mean at which its
+    light meets the classical bound N = R1^2, which is the nonclassical edge wherever R1
+    >= 1/2 there and a refuted guess elsewhere."""
+    name = _EDGE_NAMES.get(criterion)
+    edge = name and getattr(channel.model(params).module, name, None)
+    edge = edge(replace(params, T=ts)) if edge else None
     return _search_mu_max(criterion_margin(params, criterion), ts, edge)
 
 

@@ -42,8 +42,8 @@ def validate(T: float, mu: float, e: float, d: float, *, p: float = 0.0, nu: flo
 
 class Model(NamedTuple):
     """A channel model.  Its module's key_rate, secret_bound, key_statistics,
-    click_stats, omega and, where it has them, security_edge and t_min_edge are
-    looked up at call time, so a replaced attribute takes effect."""
+    click_stats, omega and, where it has them, security_edge, t_min_edge and
+    nonclassical_edge are looked up at call time, so a replaced attribute takes effect."""
 
     name: str
     params_type: type
@@ -152,6 +152,18 @@ def t_min_edge(params) -> float:
     dark = params.d * (1.0 - 2.0 * qth)
     with np.errstate(all="ignore"):
         return np.divide(dark, params.p * (qth - 0.5 * params.e + dark))
+
+
+def classical_edge(s, modes: int):
+    """The mean m of each of ``modes`` identical thermal modes at which they and a photon
+    arriving with probability s meet the classical bound N = R1^2 (no click, and one given
+    detector silent): no m where it is not finite.  R1^2 / N is e^L, L = log1p(s^2 / (4 (1 -
+    s))), for the photon, times (1 - q^2)^modes for q = h / (1 + h), h = m / 2, so q =
+    sqrt(-expm1(-L / modes)) and m = 2 q / (1 - q) = 2 q (1 + q) e^(L / modes)."""
+    with np.errstate(all="ignore"):
+        share = np.log1p(s * s / (4.0 * (1.0 - s))) / modes
+        q = np.sqrt(-np.expm1(-share))
+        return 2.0 * q * (1.0 + q) * np.exp(share)
 
 
 def error_rate(accepted: float, errors: float) -> float:

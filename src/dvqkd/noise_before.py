@@ -141,6 +141,18 @@ def security_edge(params: NoiseBeforeParams):
 t_min_edge = channel.t_min_edge
 
 
+def nonclassical_edge(params: NoiseBeforeParams):
+    """The noise mean at which the light at Bob meets the classical bound N = R1^2 at each
+    of ``params.T``: for thermal noise the ``channel.classical_edge`` of the photon and the
+    noise mode of mean mu T, over T, which is p / (1 - pT); NaN for Poisson noise, whose
+    light meets that bound at no mean."""
+    _, s, _ = channel.single_photon(params.p, params.T)
+    if params.noise_kind != ps.THERMAL:
+        return np.full(np.shape(s), np.nan)[()]
+    with np.errstate(all="ignore"):
+        return np.divide(channel.classical_edge(s, 1), params.T)
+
+
 def key_statistics(params: NoiseBeforeParams) -> dict[str, float]:
     """Key-geometry statistics per pulse, named as the Monte Carlo oracle names them."""
     ev = event_probs(params)

@@ -12,11 +12,16 @@ then tests in one call every midpoint the bisection would visit if the edge
 were there, and keeps those the predicate confirms: the guess saves calls,
 never moves a result.  ``ladder_search`` climbs a ladder of values to each
 point's first failing rung and bisects from there; a guess of each edge from
-elsewhere puts that path in its first call.
+elsewhere puts that path in its first call.  A search of up to ``_FEW`` points
+climbs, and up to ``_FEW`` guessed paths are built and walked, on Python
+floats: the same additions, halvings and comparisons as the numpy
+bookkeeping of wider calls, without numpy's fixed cost per call.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from functools import lru_cache
 from typing import Callable
 
@@ -29,6 +34,9 @@ _GUESS_WIDTH = 4096  # ladder rungs or guessed-path values per call, unless more
 _GUESS_DEPTH = 4  # tree levels, so 15 nodes, of a margin that give a bracket its guess
 _STENCIL = 12  # nodes of the polynomial whose root is the guess
 _FIT_TOL = 1e-6  # largest miss of that polynomial next to its nodes, relative to the margin
+# points climbing, or guessed paths, up to which the bookkeeping runs on Python floats:
+# the climb's crossover with numpy (about 4 points, the paths' about 8)
+_FEW = 4
 
 
 def wide(holds, fails):
@@ -83,8 +91,18 @@ def ladder_search(test: Callable, ladder: np.ndarray, count: int, guess=None) ->
     of rungs around it.  Where the climb confirms that bracket, the bisection goes
     on from the path's last confirmed step: unguessed after a step the predicate
     disagreed with, still guessed where the width cut the path short.  So a guess
-    only chooses which values are tested, never a result.
+    only chooses which values are tested, never a result.  Up to ``_FEW`` points
+    climb on Python floats (``_few_climb``).
     """
+    climb = _climb if count > _FEW else _few_climb
+    first, holds, fails, left, guessed = climb(test, ladder, count, guess)
+    _bisect(test, holds, fails, left, guessed, (left > 0).nonzero()[0])
+    return first, holds, fails
+
+
+def _climb(test, ladder, count, guess) -> tuple:
+    """The climb of ``ladder_search``, with the guessed paths in its first call:
+    (first, holds, fails, left, guessed), the brackets the bisection goes on from."""
     size, k, path = ladder.size, -1, _NO_STEPS  # k: the rung after each guess
     holds, fails, left = np.empty(count), np.empty(count), np.zeros(count, dtype=int)
     guessed = np.full(count, np.nan)
@@ -111,8 +129,46 @@ def ladder_search(test: Callable, ladder: np.ndarray, count: int, guess=None) ->
     if fresh.size:
         holds[fresh], fails[fresh], left[fresh] = _rungs(ladder, first[fresh])
         guessed[fresh] = np.nan
-    _bisect(test, holds, fails, left, guessed, (left > 0).nonzero()[0])
-    return first, holds, fails
+    return first, holds, fails, left, guessed
+
+
+def _few_climb(test, ladder, count, guess) -> tuple:
+    """``_climb`` on Python floats, for a few points: the same comparisons, point by
+    point and rung by rung."""
+    rungs, size = ladder.tolist(), ladder.size
+    holds, fails, left = np.empty(count), np.empty(count), np.zeros(count, dtype=int)
+    guessed, k, path = np.full(count, np.nan), [-1] * count, _NO_STEPS
+    if guess is not None:
+        up = rungs[0] < rungs[-1]
+        for i, g in enumerate(guess.tolist()):
+            # the rungs on the holds side of the guess, as _climb counts them (a NaN
+            # guess gets the bracket of the first or the last rung, which tests nothing)
+            k[i] = bisect_left(rungs, g) if up else size - bisect_left(rungs[::-1], g)
+            holds[i], fails[i], left[i] = _few_rungs(rungs, k[i])
+            if left[i]:
+                guessed[i] = g
+        path = _path(holds, fails, left, guessed, left.nonzero()[0])
+    first, which, rung = [size] * count, list(range(count)), 0
+    while which and rung < size:
+        step = rungs[rung : rung + max(1, _GUESS_WIDTH // len(which))]
+        values, elements, settle = path
+        path, tested = _NO_STEPS, len(which) * len(step)
+        x = np.concatenate([step * len(which), values])
+        out = test(x, np.concatenate([np.repeat(which, len(step)), elements]))
+        settle(out[tested:])
+        ok, climbing = (out[:tested] > 0.0).tolist(), []
+        for at, i in enumerate(which):
+            row = ok[at * len(step) : (at + 1) * len(step)]
+            if all(row):
+                climbing.append(i)
+            else:
+                first[i] = rung + row.index(False)
+        which, rung = climbing, rung + len(step)
+    for i in range(count):
+        if first[i] != k[i]:
+            holds[i], fails[i], left[i] = _few_rungs(rungs, first[i])
+            guessed[i] = math.nan
+    return np.array(first), holds, fails, left, guessed
 
 
 def _rungs(ladder, k) -> tuple:
@@ -121,6 +177,17 @@ def _rungs(ladder, k) -> tuple:
     left where ``wide``, else none."""
     holds, fails = ladder[np.maximum(k - 1, 0)], ladder[np.minimum(k, ladder.size - 1)]
     return holds, fails, _MAX_STEPS * wide(holds, fails)
+
+
+def _few_rungs(rungs, k) -> tuple:
+    """``_rungs`` of one point, on a list of Python floats."""
+    holds, fails = rungs[max(k - 1, 0)], rungs[min(k, len(rungs) - 1)]
+    return holds, fails, _MAX_STEPS * _wide_float(holds, fails)
+
+
+def _wide_float(holds: float, fails: float) -> bool:
+    """``wide`` of one bracket of Python floats."""
+    return abs(fails - holds) > REL_TOL * max(abs(holds), abs(fails))
 
 
 def _bisect(test, holds, fails, left, guess, live) -> None:
@@ -283,9 +350,12 @@ def _path(holds, fails, left, guess, rows):
     """(values, elements, settle) of the midpoints the bisection of each bracket of
     ``rows`` visits if the predicate holds exactly on the holds side of its guess;
     settle(out) moves each bracket along them up to the first the predicate
-    disagrees with, and drops the guess there."""
+    disagrees with, and drops the guess there.  Up to ``_FEW`` brackets take
+    ``_few_path``."""
     if not rows.size:
         return _NO_STEPS
+    if rows.size <= _FEW:
+        return _few_path(holds, fails, left, guess, rows)
     h, f, g = holds[rows], fails[rows], guess[rows]
     # the steps until the bracket is not wide, at most: ceil(log2(width / (REL_TOL g)))
     # for the guess g, as the width halves each step and the upper end stays above g
@@ -323,6 +393,45 @@ def _path(holds, fails, left, guess, rows):
         guess[rows[stray[np.arange(rows.size), last]]] = np.nan
 
     return mids[tested], rows.repeat(count), settle
+
+
+def _few_path(holds, fails, left, guess, rows):
+    """``_path`` on Python floats, for a few brackets: the same additions, halvings and
+    comparisons, step by step along each bracket's path."""
+    cap, rows = max(1, _GUESS_WIDTH // rows.size), rows.tolist()
+    values, paths = [], []  # paths: (row, holds, fails, guess, steps tested) of each
+    for r in rows:
+        h, f, g = float(holds[r]), float(fails[r]), float(guess[r])
+        (m, e), (m_tol, e_tol) = math.frexp(abs(f - h)), math.frexp(REL_TOL * g)
+        count = min(max(min(e - e_tol + (m > m_tol), int(left[r])), 1), cap)
+        paths.append((r, h, f, g, count))
+        lo, hi = (h, f) if h < f else (f, h)
+        for _ in range(count):
+            mid = (lo + hi) * 0.5
+            values.append(mid)
+            lo, hi = (mid, hi) if mid < g else (lo, mid)
+
+    def settle(out):
+        out, at = out.tolist(), 0
+        for r, h, f, g, count in paths:
+            below = h < f
+            lo, hi = (h, f) if below else (f, h)
+            for step, ok in enumerate(out[at : at + count]):
+                mid = (lo + hi) * 0.5
+                moved = (ok > 0.0) == below  # the lower end moves
+                stray = moved != (mid < g)
+                lo, hi = (mid, hi) if moved else (lo, mid)
+                h, f = (lo, hi) if below else (hi, lo)
+                narrow = not _wide_float(h, f)
+                if narrow or stray:
+                    break
+            holds[r], fails[r] = h, f
+            left[r] = 0 if narrow else left[r] - step - 1
+            if stray:
+                guess[r] = math.nan
+            at += count
+
+    return np.array(values), np.repeat(rows, [path[-1] for path in paths]), settle
 
 
 def _settle(holds, fails, left, rows, h, f, stop) -> np.ndarray:

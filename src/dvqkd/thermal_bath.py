@@ -67,6 +67,15 @@ def security_edge(params: ThermalBathParams):
 t_min_edge = channel.t_min_edge
 
 
+def nonclassical_edge(params: ThermalBathParams):
+    """The noise mean at which the light at Bob meets the classical bound N = R1^2 at each
+    of ``params.T``: the ``channel.classical_edge`` of the photon and the two bath modes of
+    mean mu (1 - T), over 1 - T."""
+    _, kept, _ = channel.single_photon(params.p, params.T)
+    with np.errstate(all="ignore"):
+        return np.divide(channel.classical_edge(kept, 2), 1.0 - params.T)
+
+
 def key_statistics(params: ThermalBathParams) -> dict[str, float]:
     """Key-geometry statistics per pulse, named as the Monte Carlo oracle names them."""
     rate = key_rate(params)

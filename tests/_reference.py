@@ -441,6 +441,20 @@ def transmittance_edge_mp(p: float, e: float, d: float) -> mpf:
         return dark / (mpf(p) * (q - mpf(e) / 2 + dark))
 
 
+def classical_edge_mp(s: float, modes: int) -> tuple[mpf, mpf]:
+    """(m, R1) where a photon arriving with probability s and ``modes`` thermal modes of
+    mean m each meet the classical bound N = R1^2, and R1 there, at 50 digits.  Each
+    mode's N / R1^2 is c = (1 + 2h) / (1 + h)^2, h = m / 2, and the photon's is (1 - s) /
+    (1 - s/2)^2, so c is that ratio to the power 1 / modes and 1 + h is the larger root
+    of c u^2 - 2u + 1, (1 + sqrt(1 - c)) / c.  1 - c is about s^2 / (4 modes), so the
+    digits it cancels, 2 log10(1 / s), come on top of the 50."""
+    with mp.workdps(_THRESHOLD_DIGITS + 2 * max(0, math.ceil(-math.log10(s)))):
+        s = mpf(s)
+        c = ((1 - s) / (1 - s / 2) ** 2) ** (mpf(1) / modes)
+        u = (1 + mp.sqrt(1 - c)) / c
+        return 2 * (u - 1), (1 - s / 2) / u**modes
+
+
 def y_threshold_mp(e: float) -> mpf:
     """The root y in (e, 1) of y [1 - H(e / 2y)] = H(e / 2), for 0 < e < 2 Q_th, by
     bisection on a geometric scale to 1e-30 relative: the root spans 300 decades."""

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import struct
 import warnings
@@ -448,6 +449,23 @@ class TestBisectionLevels:
             t_min, want = boundary.t_min_numeric(params), ref.t_min_numeric_one_level(params)
             assert repr(t_min) == repr(want), params
 
+    @pytest.mark.parametrize("criterion", boundary.CRITERIA)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_one_point_searches_match_the_one_level_search(self, variant, criterion):
+        # one point climbs, and its few guessed paths walk, on Python floats
+        rng = np.random.default_rng(
+            [19, self.VARIANTS.index(variant), boundary.CRITERIA.index(criterion)]
+        )
+        for _ in range(12):
+            params = TestMonotoneInMu._draw(rng, variant)
+            got = boundary.mu_max_numeric(params, criterion)
+            pred = boundary.criterion_predicate(params, criterion)
+            want_mu_max, want_feasible = ref.search_mu_max_doubling(pred, np.array([params.T]))
+            assert (got is not None) == want_feasible[0], params
+            assert np.array([got or 0.0]).tobytes() == want_mu_max.tobytes(), params
+            t_min, want = boundary.t_min_numeric(params), ref.t_min_numeric_one_level(params)
+            assert repr(t_min) == repr(want), params
+
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_t_min_takes_at_most_three_predicate_calls(self, variant, monkeypatch):
         # one level per call takes 20 to 50: the two ends, then one call per halving
@@ -787,7 +805,10 @@ class TestExactEdges:
     """The single-photon security edges against their exact closed forms at the
     criterion's mpmath QBER (tests/_reference.py), on draws with T and d down to
     1e-12: mu_max, a bracket's midpoint, within REL_TOL, and T_min, a bracket's
-    holds end, within 2 REL_TOL."""
+    holds end, within 2 REL_TOL.  The nonclassical edges against the mpmath mean at
+    which the light meets the classical bound N = R1^2, with T and p down to 1e-12:
+    the closed form within 1e-14, and mu_max within 2 REL_TOL wherever R1 >= 1/2
+    there, the branch on which the witness is that bound."""
 
     DRAWS = 300
 
@@ -841,11 +862,46 @@ class TestExactEdges:
                 assert abs(got / want - 1) <= 2 * roots.REL_TOL, params
         assert seen == {"infeasible", "floor", "edge"}
 
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_classical_edge_is_the_mpmath_edge(self, modes):
+        rng = np.random.default_rng([41, modes])
+        s = np.concatenate([
+            10.0 ** rng.uniform(-12.0, 0.0, self.DRAWS), 1.0 - 10.0 ** rng.uniform(-9.0, -0.3, self.DRAWS)
+        ])
+        s = np.append(np.clip(s, 1e-12, 1.0 - 1e-9), [1e-12, 1.0 - 1e-9])
+        for si, got in zip(s.tolist(), channel.classical_edge(s, modes).tolist()):
+            want, _ = ref.classical_edge_mp(si, modes)
+            assert abs(got / want - 1) <= 1e-14, si
+
+    @pytest.mark.parametrize("variant", ["thermal-bath", "noise-before/thermal"])
+    def test_nonclassical_mu_max_is_the_classical_edge(self, variant):
+        rng, seen = np.random.default_rng([43, len(variant)]), set()
+        for _ in range(self.DRAWS):
+            p = 10.0 ** rng.uniform(-12.0, 0.0)
+            near_one = 1.0 - 10.0 ** rng.uniform(-12.0, -1.0)
+            T = 10.0 ** rng.uniform(-12.0, 0.0) if rng.random() < 0.5 else near_one
+            if variant == "thermal-bath":
+                params, modes, share = tb_params(p=p, T=T), 2, 1 - ref.mpf(T)  # mean mu (1 - T) each
+            else:
+                params = noise_before.NoiseBeforeParams(p=p, T=T, mu=0.0, noise_kind="thermal")
+                modes, share = 1, ref.mpf(T)  # one mode of mean mu T
+            got = boundary.mu_max_numeric(params, boundary.NONCLASSICAL)
+            m, r1 = ref.classical_edge_mp(p * T, modes)
+            if r1 < 0.5:
+                seen.add("other branch")
+            elif m / share >= boundary.MU_CEILING:
+                seen.add("ceiling")
+                assert got == boundary.MU_CEILING, params
+            else:
+                seen.add("edge")
+                assert abs(got / (m / share) - 1) <= 2 * roots.REL_TOL, params
+        assert "edge" in seen and ("ceiling" in seen) == (variant == "thermal-bath")  # p/(1 - pT) < 1e3
+
 
 class TestExactEdgeGuesses:
-    """A model's exact security edge only chooses the midpoints the first criterion
-    call tests: whatever the edge, every point and every t_min is the one-level
-    search, bit for bit, in no more calls than the search without it."""
+    """A model's exact security or nonclassical edge only chooses the midpoints the
+    first criterion call tests: whatever the edge, every point and every t_min is the
+    one-level search, bit for bit, in no more calls than the search without it."""
 
     SINGLE_PHOTON = ("thermal-bath", "noise-before/thermal", "noise-before/poisson")
     MOVES = {
@@ -856,7 +912,8 @@ class TestExactEdgeGuesses:
         "0": np.zeros_like,
         "inf": lambda edge: np.full_like(edge, np.inf),
     }
-    EDGES = ("security_edge", "t_min_edge")
+    EDGES = ("security_edge", "t_min_edge", "nonclassical_edge")
+    CRITERIA = (boundary.SECURITY, boundary.NONCLASSICAL)
 
     @classmethod
     def _move_edges(cls, monkeypatch, move):
@@ -869,13 +926,17 @@ class TestExactEdgeGuesses:
     @pytest.mark.parametrize("variant", SINGLE_PHOTON)
     def test_sweeps_and_t_min_match_the_one_level_search(self, variant, move, monkeypatch):
         calls = TestBisectionLevels._counting(monkeypatch)
-        for params, grid in TestBisectionLevels._configs(variant, boundary.SECURITY, 4):
+        for criterion in self.CRITERIA:
+            self._check_sweeps_and_t_min(variant, criterion, move, calls, monkeypatch)
+
+    def _check_sweeps_and_t_min(self, variant, criterion, move, calls, monkeypatch):
+        for params, grid in TestBisectionLevels._configs(variant, criterion, 4):
             today = []  # the calls of the sweep and of t_min without an edge
             with monkeypatch.context() as m:
                 for name in self.EDGES:
                     m.delattr(channel.model(params).module, name)
                 calls.clear()
-                boundary.sweep(params, boundary.SECURITY, grid)
+                boundary.sweep(params, criterion, grid)
                 today.append(len(calls))
                 calls.clear()
                 boundary.t_min_numeric(params)
@@ -883,12 +944,12 @@ class TestExactEdgeGuesses:
             with monkeypatch.context() as m:
                 self._move_edges(m, self.MOVES[move])
                 calls.clear()
-                points = boundary.sweep(params, boundary.SECURITY, grid).points
+                points = boundary.sweep(params, criterion, grid).points
                 taken = len(calls)
                 calls.clear()
                 t_min = boundary.t_min_numeric(params)
                 assert taken <= today[0] and len(calls) <= today[1], params
-            pred = boundary.criterion_predicate(params, boundary.SECURITY)
+            pred = boundary.criterion_predicate(params, criterion)
             want_mu_max, want_feasible = ref.search_mu_max_doubling(pred, grid)
             assert np.array([pt.mu_max for pt in points]).tobytes() == want_mu_max.tobytes()
             assert [pt.feasible for pt in points] == want_feasible.tolist()
@@ -904,26 +965,30 @@ class TestExactEdgeGuesses:
             else noise_before.NoiseBeforeParams(p=0.7, T=1.0, mu=0.0, e=0.01, d=1e-6, noise_kind=kind)
         )
         grid = np.geomspace(1e-4, 0.5, points)
-        want = ref.search_mu_max_doubling(boundary.criterion_predicate(params, boundary.SECURITY), grid)
         calls = TestBisectionLevels._counting(monkeypatch)
-        with monkeypatch.context() as m:
-            m.delattr(channel.model(params).module, "security_edge")
-            boundary.sweep(params, boundary.SECURITY, grid)
-        today = len(calls)  # the calls without an edge
-        for move in self.MOVES:
+        for criterion in self.CRITERIA:
+            want = ref.search_mu_max_doubling(boundary.criterion_predicate(params, criterion), grid)
             calls.clear()
             with monkeypatch.context() as m:
-                self._move_edges(m, self.MOVES[move])
-                got = boundary.sweep(params, boundary.SECURITY, grid).points
-            assert np.array([pt.mu_max for pt in got]).tobytes() == want[0].tobytes(), move
-            assert [pt.feasible for pt in got] == want[1].tolist(), move
-            assert len(calls) <= today, move
-            if move == "exact" and points <= 79:  # every point's path fits the first call
-                assert len(calls) == 1
+                m.delattr(channel.model(params).module, boundary._EDGE_NAMES[criterion])
+                boundary.sweep(params, criterion, grid)
+            today = len(calls)  # the calls without an edge
+            for move in self.MOVES:
+                calls.clear()
+                with monkeypatch.context() as m:
+                    self._move_edges(m, self.MOVES[move])
+                    got = boundary.sweep(params, criterion, grid).points
+                assert np.array([pt.mu_max for pt in got]).tobytes() == want[0].tobytes(), move
+                assert [pt.feasible for pt in got] == want[1].tolist(), move
+                assert len(calls) <= today, move
+                # every point's path fits the first call; Poisson noise has no nonclassical edge
+                if move == "exact" and points <= 79 and (criterion, kind) != (boundary.NONCLASSICAL, "poisson"):
+                    assert len(calls) == 1, criterion
 
     @pytest.mark.parametrize("move", list(MOVES))
     def test_step_thresholds_match_the_one_level_search(self, move, monkeypatch):
-        # the margin threshold - mu in place of security's, and its edge moved as the case says
+        # the margin threshold - mu in place of each criterion's, and its edge moved as the
+        # case says
         rungs = boundary._LADDER
         thresholds = {
             "at a rung": [rungs[2], rungs[20], rungs[-2], rungs[-1]],
@@ -942,23 +1007,24 @@ class TestExactEdgeGuesses:
             return margin
 
         monkeypatch.setattr(boundary, "criterion_margin", step)
-        for case, values in thresholds.items():
+        for criterion, (case, values) in itertools.product(self.CRITERIA, thresholds.items()):
+            name = boundary._EDGE_NAMES[criterion]
             for threshold in values:
                 want = ref.search_mu_max_doubling(lambda mu, T: threshold - mu > 0.0, ts)
                 taken = []
                 for edge in (None, lambda params: self.MOVES[move](np.full(ts.size, threshold))):
                     if edge is None:
-                        monkeypatch.delattr(thermal_bath, "security_edge")
+                        monkeypatch.delattr(thermal_bath, name)
                     else:
-                        monkeypatch.setattr(thermal_bath, "security_edge", edge, raising=False)
+                        monkeypatch.setattr(thermal_bath, name, edge, raising=False)
                     calls.clear()
-                    curve = boundary.sweep(tb_params(), boundary.SECURITY, ts)
+                    curve = boundary.sweep(tb_params(), criterion, ts)
                     taken.append(len(calls))
                     got = np.array([pt.mu_max for pt in curve.points])
-                    assert got.tobytes() == want[0].tobytes(), (case, threshold)
-                assert taken[1] <= taken[0], (case, threshold)
+                    assert got.tobytes() == want[0].tobytes(), (criterion, case, threshold)
+                assert taken[1] <= taken[0], (criterion, case, threshold)
                 if move == "exact":
-                    assert taken[1] == 1, (case, threshold)
+                    assert taken[1] == 1, (criterion, case, threshold)
 
     @pytest.mark.parametrize("move", list(MOVES))
     def test_t_min_step_thresholds_match_the_one_level_search(self, move, monkeypatch):
@@ -991,6 +1057,31 @@ class TestExactEdgeGuesses:
             assert taken[1] <= taken[0], threshold
             if move == "exact":
                 assert taken[1] == 1, threshold
+
+    @pytest.mark.parametrize("variant", ["thermal-bath", "noise-before/thermal"])
+    def test_nonclassical_sweeps_take_one_call_where_each_edge_is_the_classical_bound(
+        self, variant, monkeypatch
+    ):
+        # where R1 >= 1/2 at every point's edge the witness is the bound N = R1^2, whose
+        # edge the first call's paths test; without it the margin's guesses take three
+        # calls or more
+        calls, edged = TestBisectionLevels._counting(monkeypatch), 0
+        for params, grid in TestBisectionLevels._configs(variant, boundary.NONCLASSICAL, 20):
+            calls.clear()
+            points = boundary.sweep(params, boundary.NONCLASSICAL, grid).points
+            taken = len(calls)
+            edges = [pt for pt in points if 0.0 < pt.mu_max < boundary.MU_CEILING]
+            T, mu = (np.array([getattr(pt, key) for pt in edges]) for key in ("T", "mu_max"))
+            clicks = boundary.model_clicks(replace(params, T=T, mu=mu))
+            if np.all(clicks.p_none + 0.5 * clicks.p_single >= 0.5):
+                edged += 1
+                assert taken == 1, params
+                calls.clear()
+                with monkeypatch.context() as m:
+                    m.delattr(channel.model(params).module, "nonclassical_edge")
+                    boundary.sweep(params, boundary.NONCLASSICAL, grid)
+                assert len(calls) >= 3, params
+        assert edged >= 15
 
     @pytest.mark.parametrize("variant", SINGLE_PHOTON)
     def test_security_sweeps_and_t_min_take_one_call(self, variant, monkeypatch):

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 import _reference as ref
-from dvqkd import roots
+from dvqkd import boundary, roots
 
 
 class TestBisectPredicate:
@@ -221,3 +223,117 @@ class TestGuessedBisection:
         rng = np.random.default_rng(11)
         edges, holds, fails, flip = self._draw(rng, 60)
         self._compare(lambda x, i: (x < edges[i]) == (flip[i] > 0), holds, fails)
+
+
+class TestFewPointBookkeeping:
+    """Up to ``roots._FEW`` guessed paths or climbing points keep their books on Python
+    floats, more on numpy arrays.  Fed the same brackets, guesses and criterion outputs,
+    both test the same values of the same elements, and settle the same brackets, steps
+    left and dropped guesses, bit for bit."""
+
+    LADDER = boundary._LADDER
+    BRACKETS = {  # (holds, fails, steps left)
+        "[0, MU_SEED]": (0.0, boundary.MU_SEED, roots._MAX_STEPS),
+        "below the ceiling": (LADDER[-2], LADDER[-1], roots._MAX_STEPS),
+        "holds above": (6e-5, 3e-5, roots._MAX_STEPS),  # as the T_min ladder's brackets
+        "fails at 0": (1e-300, 0.0, roots._MAX_STEPS),
+        "three steps left": (3e-5, 6e-5, 3),
+        "nearly narrow": (1.0, 1.0 + 3e-6, roots._MAX_STEPS),
+    }
+    GUESSES = {  # from the bracket's holds and fails ends
+        "inside": lambda h, f: h + 0.37 * (f - h),
+        "far inside": lambda h, f: h + 1e-9 * (f - h),
+        "at the holds end": lambda h, f: h,
+        "at the fails end": lambda h, f: f,
+        "at the first midpoint": lambda h, f: 0.5 * (h + f),
+        "below": lambda h, f: 0.5 * min(h, f) - 1.0,
+        "above": lambda h, f: 2.0 * max(h, f) + 1.0,
+        "NaN": lambda h, f: math.nan,
+        "inf": lambda h, f: math.inf,
+        "0": lambda h, f: 0.0,
+    }
+    # the criterion's outputs at the tested values x, given whether each follows the
+    # path (holds exactly on the holds side of its guess), its step and a random draw
+    OUTPUTS = {
+        "follows the guess": lambda follow, step, u: np.where(follow, 1.0, -1.0),
+        "strays at every step": lambda follow, step, u: np.where(follow, -1.0, 1.0),
+        "strays at the third step": lambda follow, step, u: np.where(follow != (step == 2), 2.0, -2.0),
+        "random margins": lambda follow, step, u: np.where(u < 0.1, 0.0, np.where(u > 0.9, np.nan, u - 0.5)),
+        "booleans": lambda follow, step, u: u < 0.5,
+    }
+
+    @classmethod
+    def _table(cls, copies=1):
+        """``copies`` brackets per bracket and guess of the tables, and a row left out of
+        every path after each, so that settling must leave it alone."""
+        rows = [(*cls.BRACKETS[b], cls.GUESSES[g](*cls.BRACKETS[b][:2])) for b in cls.BRACKETS for g in cls.GUESSES]
+        rows = [row for pair in zip(rows * copies, [(5.0, 7.0, 9, 6.0)] * len(rows) * copies) for row in pair]
+        holds, fails, left, guess = (np.array(column) for column in zip(*rows))
+        return holds, fails, left.astype(int), guess, np.arange(0, len(rows), 2)
+
+    @staticmethod
+    def _outputs(rule, values, elements, holds, fails, guess, rng):
+        below = (holds < fails)[elements]  # the holds end is the lower one
+        follow = (values < guess[elements]) == below
+        starts = np.r_[True, elements[1:] != elements[:-1]]
+        step = np.arange(elements.size) - np.maximum.accumulate(np.where(starts, np.arange(elements.size), 0))
+        return rule(follow, step, rng.random(elements.size))
+
+    @pytest.mark.parametrize("rule", list(OUTPUTS))
+    @pytest.mark.parametrize("take", ["all", "one", "two", "four", "beyond the guess width"])
+    def test_paths_agree(self, take, rule, monkeypatch):
+        # more than _GUESS_WIDTH / 4 paths take at most 3 steps each per call
+        holds, fails, left, guess, rows = self._table(50 if take == "beyond the guess width" else 1)
+        rng = np.random.default_rng([3, list(self.OUTPUTS).index(rule)])
+        for chosen in {"all": [rows], "one": rows[:, None], "two": rows.reshape(-1, 2),
+                       "four": rows[: rows.size // 4 * 4].reshape(-1, 4),
+                       "beyond the guess width": [rows]}[take]:
+            runs = []
+            for few in (chosen.size, 0):  # the Python floats, then numpy
+                monkeypatch.setattr(roots, "_FEW", few)
+                state = [a.copy() for a in (holds, fails, left, guess)]
+                runs.append((state, roots._path(*state, chosen)))
+            (floats, (values, elements, settle)), (arrays, (values_np, elements_np, settle_np)) = runs
+            assert values.tobytes() == values_np.tobytes() and elements.tolist() == elements_np.tolist()
+            out = self._outputs(self.OUTPUTS[rule], values, elements, holds, fails, guess, rng)
+            settle(out)
+            settle_np(out)
+            for got, want in zip(floats, arrays):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (chosen, rule)
+
+    @pytest.mark.parametrize("ladder", ["mu", "T"])
+    def test_climbs_agree(self, ladder):
+        rungs = {"mu": boundary._LADDER, "T": boundary._T_LADDER}[ladder]
+        up = rungs[0] < rungs[-1]
+        rng = np.random.default_rng([4, int(up)])
+        for count in (1, 2, 3, 4, 7):
+            # edges across the ladder and beyond both its ends, on rungs and next to them
+            edges = 10.0 ** rng.uniform(-14.0, 4.0, count) if up else 10.0 ** rng.uniform(-10.0, 0.3, count)
+            edges[::3] = rng.choice(rungs, edges[::3].size)
+            edges[1::3] = np.nextafter(edges[1::3], 0.0)
+            sign = 1.0 if up else -1.0  # holds below each edge, or above it
+            tests = {
+                "edges": lambda x, i: sign * (edges[i] - x),
+                "booleans": lambda x, i: (x < edges[i]) == up,
+                "non-monotone": lambda x, i: ((x.view(np.int64) >> 20) % 3 != i % 2) - 0.5,
+            }
+            guesses = {
+                "none": None, "exact": edges, "1e-3 up": edges * (1.0 + 1e-3),
+                "1e-7 down": edges * (1.0 - 1e-7), "NaN": np.full(count, np.nan),
+                "inf": np.full(count, np.inf), "0": np.zeros(count),
+            }
+            for name, test in tests.items():
+                for guess in guesses.values():
+                    runs = []
+                    for climb in (roots._few_climb, roots._climb):
+                        calls = []
+
+                        def recorded(x, i):
+                            calls.append((x.tobytes(), i.tolist()))
+                            return test(x, i)
+
+                        runs.append((climb(recorded, rungs, count, guess), calls))
+                    (got, got_calls), (want, want_calls) = runs
+                    assert got_calls == want_calls, (count, name)
+                    for g, w in zip(got, want):
+                        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (count, name)
