@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -53,13 +52,15 @@ def bisect_predicate(test: Callable, holds, fails) -> tuple:
 
     The ends may be in either order; each bracket is halved until it is no longer
     ``wide`` (or ``_MAX_STEPS`` times) and then left alone, so an element ends as
-    it would in a bisection of its own.  Each call tests the next
+    it would in a bisection of its own.  Each call tests the next d =
     ``floor(log2(_CALL_WIDTH // unguessed + 1))`` levels (at least one) of every
-    live bracket without a guess: all midpoints its bisection could reach, which
-    the walk then follows.  A bracket with one end at 0 also tests its other end
-    halved once more, twice more, ... below its tree, up to ``_CALL_WIDTH`` such
-    values in all: the midpoints its bisection visits for as long as the
-    predicate agrees with that end.
+    live bracket without a guess: all midpoints its bisection could reach, the
+    2^d - 1 inner points of a grid of 2^d + 1 from its holds end to its fails
+    end, each the midpoint of the two grid points that bracket it on its level.
+    The bracket then walks its own path through them.  A bracket with one end at
+    0 also tests its other end halved once more, twice more, ... below its tree,
+    up to ``_CALL_WIDTH`` such values in all: the midpoints its bisection visits
+    for as long as the predicate agrees with that end.
 
     A margin's values on a tree of ``_GUESS_DEPTH`` levels or more, of a bracket
     whose ends are positive, give it one guess of its edge (``_guess``).  From
@@ -193,14 +194,11 @@ def _wide_float(holds: float, fails: float) -> bool:
 def _bisect(test, holds, fails, left, guess, live) -> None:
     """Moves the brackets ``live`` in place as ``bisect_predicate`` does, each with
     ``left`` steps to take and its ``guess`` or NaN."""
-    if not live.size:
-        return
-    zero = (holds == 0.0) | (fails == 0.0)  # an end at 0 from the start, while it stays there
     tried = np.zeros(holds.size, dtype=bool)
     while live.size:
         guessed = ~np.isnan(guess[live])
         steps = (
-            _tree(holds, fails, left, zero, guess, tried, live[~guessed]),
+            _tree(holds, fails, left, guess, tried, live[~guessed]),
             _path(holds, fails, left, guess, live[guessed]),
         )
         out = test(np.concatenate([s[0] for s in steps]), np.concatenate([s[1] for s in steps]))
@@ -215,69 +213,70 @@ def _bisect(test, holds, fails, left, guess, live) -> None:
 _NO_STEPS = (np.empty(0), np.empty(0, dtype=int), lambda out: None)
 
 
-def _tree(holds, fails, left, zero, guess, tried, rows):
+def _tree(holds, fails, left, guess, tried, rows):
     """(values, elements, settle) of the next levels of the brackets ``rows`` and of
     the halvings toward 0 of those with an end there; settle(out) moves them, and
     guesses the edge of each bracket a margin's values on its tree allow."""
     if not rows.size:
         return _NO_STEPS
     depth = max(1, (_CALL_WIDTH // rows.size + 1).bit_length() - 1)
-    # each bracket's bisection tree, level by level: the children of node x on
-    # level j are x, where the predicate holds at x's midpoint, and x + 2^j
-    h, f, mids = [holds[rows, None]], [fails[rows, None]], []
-    for _ in range(depth):
-        mids.append(0.5 * (h[-1] + f[-1]))
-        h.append(np.concatenate([mids[-1], h[-1]], axis=1))
-        f.append(np.concatenate([f[-1], mids[-1]], axis=1))
-    h, f, mids = (np.concatenate(x, axis=1) for x in (h, f, mids))  # level j from 2^j - 1
-    values, elements = mids.ravel(), np.repeat(rows, mids.shape[1])
-    line = rows[zero[rows]]
+    n, at = 1 << depth, np.arange(rows.size)
+    # each bracket's tree on a grid from its holds end (0) to its fails end (n): node p
+    # of level j, with s = 2^(depth - 1 - j), is the midpoint of its bracket [p - s, p + s],
+    # and the predicate holding at p leads on to node p + s/2, failing to p - s/2
+    steps = n >> np.arange(1, depth + 1)
+    grid = np.empty((rows.size, n + 1))
+    grid[:, 0], grid[:, n] = holds[rows], fails[rows]
+    for s in steps.tolist():
+        grid[:, s :: 2 * s] = 0.5 * (grid[:, : -s : 2 * s] + grid[:, 2 * s :: 2 * s])
+    values, elements = grid[:, 1:-1].ravel(), np.repeat(rows, n - 1)
+    zeros = ((grid[:, 0] == 0.0) | (grid[:, n] == 0.0)).nonzero()[0]  # brackets with an end at 0
+    line, at_zero, nodes = rows[zeros], grid[zeros, 0] == 0.0, values.size
     reach = min(_CALL_WIDTH // line.size, left[line].max() - depth) if line.size else 0
     if reach > 0:
         # the end not at 0 halved depth, depth + 1, ... times, as the bisection halves it
-        end = np.full((line.size, depth + reach + 1), 0.5)
-        end[:, 0] = holds[line] + fails[line]
-        end = np.multiply.accumulate(end, axis=1)[:, depth:]
-        at_zero = holds[line] == 0.0
+        end = np.full((line.size, reach + 1), 0.5)
+        end[:, 0] = np.where(at_zero, grid[zeros, 1], grid[zeros, n - 1])
+        end = np.multiply.accumulate(end, axis=1)
         values = np.concatenate([values, end[:, 1:].ravel()])
-        elements = np.concatenate([elements, np.repeat(line, end.shape[1] - 1)])
+        elements = np.concatenate([elements, np.repeat(line, reach)])
 
     def settle(out):
-        ok = out > 0.0
         if out.dtype.kind == "f" and depth >= _GUESS_DEPTH:
             # a guess from a margin on the tree, once per bracket with positive ends
-            new = ~tried[rows] & (h[:, 0] > 0.0) & (f[:, 0] > 0.0)
+            new = ~tried[rows] & (grid[:, 0] > 0.0) & (grid[:, n] > 0.0)
             if new.any():
-                margin = out[: mids.size].reshape(mids.shape)[new]
-                guess[rows[new]] = _guess(h[new, 0], f[new, 0], margin)
+                margin = out[:nodes].reshape(rows.size, n - 1)[new]
+                guess[rows[new]] = _guess(grid[new, 0], grid[new, n], margin)
                 tried[rows[new]] = True
-        # the child each node's bisection step leads to, and each bracket's path through them
-        level = np.repeat(np.arange(depth), 1 << np.arange(depth))
-        child = np.arange(mids.shape[1]) + ((2 - ok[: mids.size].reshape(mids.shape)) << level)
-        at, path = np.arange(rows.size), np.zeros((rows.size, depth + 1), dtype=int)
-        for j in range(depth):
-            path[:, j + 1] = child[at, path[:, j]]
-        at, path = at[:, None], path[:, 1:]
-        _settle(holds, fails, left, rows, h[at, path], f[at, path], False)
+        # each bracket's walk down its tree: level j tests node lo + s of its bracket
+        # [lo, lo + 2s], moving lo there where the predicate holds, so lo at level j is
+        # the last lo less its bits below s; the walk keeps lo + start, node lo's index in ok
+        ok, start = out > 0.0, at * (n - 1) - 1
+        lo = start
+        for s in steps.tolist():
+            node = lo + s
+            lo = np.where(ok[node], node, lo)
+        lo = lo - start
+        level = (lo[:, None] & -steps) + (at * (n + 1))[:, None]  # in the flat grid
+        _settle(holds, fails, left, rows, grid.ravel()[level], grid.ravel()[level + steps], False)
         if reach > 0:
-            # a line goes on where its tree moved only the end not at 0: step k moves that
-            # end or the one at 0 to column k, and the first move of the one at 0 ends it
-            ok_line = ok[mids.size :].reshape(line.size, -1)
-            on = (holds[line] + fails[line] == end[:, 0]) & (left[line] > 0)
-            on &= np.where(at_zero, holds[line], fails[line]) == 0.0
-            zero[line] = on
-            rest, ends, ok_line, down = line[on], end[on], ok_line[on], at_zero[on, None]
+            # a line goes on where its walk moved only the end not at 0 (lo stayed at 0,
+            # or the last bracket reaches n): step k moves that end or the one at 0 to
+            # column k, and the first move of the one at 0 ends it
+            on = np.where(at_zero, lo[zeros] == 0, lo[zeros] == n - 1) & (left[line] > 0)
+            ok_line = ok[nodes:].reshape(line.size, -1)[on]
+            rest, ends, down = line[on], end[on], at_zero[on, None]
             hl = np.where(ok_line, ends[:, 1:], np.where(down, holds[rest, None], ends[:, :-1]))
             fl = np.where(ok_line, np.where(down, ends[:, :-1], fails[rest, None]), ends[:, 1:])
             _settle(holds, fails, left, rest, hl, fl, ok_line == down)
-            zero[rest] = np.where(down[:, 0], holds[rest], fails[rest]) == 0.0
 
     return values, elements, settle
 
 
 def _guess(holds, fails, margin) -> np.ndarray:
     """Each bracket's guess of its edge from a real margin at the nodes of its tree (a
-    row of ``margin`` each, in the columns of ``_tree``), or NaN.
+    row of ``margin`` each, in grid order from the holds end), or NaN.
 
     The nodes split the bracket evenly.  The guess is the root of the degree-11
     polynomial through the margin at the ``_STENCIL`` nodes around its sign change,
@@ -287,63 +286,44 @@ def _guess(holds, fails, margin) -> np.ndarray:
     ``_FIT_TOL`` of the margin's largest value on it: a margin not smooth there,
     or too close to rounding, that the predicate would likely not confirm.
     """
-    count = margin.shape[1]
-    cols, outside, side, first, u_lo, fit = _stencil(count)
+    count, rows = margin.shape[1], np.arange(margin.shape[0])
     k = (margin > 0.0).sum(axis=1)  # the sign change after node k - 1, where monotone
-    cols, outside, side, first, u_lo = cols[k], outside[k], side[k], first[k], u_lo[k]
-    rows = np.arange(k.size)
-    near = margin[rows[:, None], cols]
+    first = np.minimum(np.maximum(k - _STENCIL // 2, 0), count - _STENCIL)  # the stencil's start
+    after = first == 0  # the node next to the stencil is after it, none being before
+    near = margin[rows[:, None], first[:, None] + np.arange(_STENCIL)]
+    u_lo = (2.0 * (k - 1 - first) - (_STENCIL - 1)) / (_STENCIL - 1)  # u of node k - 1
     u_hi = u_lo + 2.0 / (_STENCIL - 1)
     u, powers = 0.5 * (u_lo + u_hi), np.ones((k.size, _STENCIL))
     with np.errstate(all="ignore"):  # a flat margin divides by 0, an infinite one gives NaN
         # the polynomial's coefficients of u^0 ... u^11 and of its derivative, the stencil
         # at u = -1 ... 1, and its values at the nodes just before and just after it
-        coefs, check = np.split(near @ fit, [2 * _STENCIL], axis=1)
+        coefs, check = np.split(near @ _FIT, [2 * _STENCIL], axis=1)
         coefs = coefs.reshape(-1, 2, _STENCIL)
         for _ in range(3):
             powers[:, 1:] = u[:, None]
             p = coefs @ np.multiply.accumulate(powers, axis=1)[:, :, None]
             u = np.minimum(np.maximum(u - p[:, 0, 0] / p[:, 1, 0], u_lo), u_hi)
-        miss = np.abs(check[rows, side] - margin[rows, outside])
+        outside = margin[rows, np.where(after, first + _STENCIL, first - 1)]
+        miss = np.abs(check[rows, after.astype(int)] - outside)
         smooth = miss <= _FIT_TOL * np.abs(near).max(axis=1)
     node = first + 0.5 * (_STENCIL - 1) * (u + 1.0)
     return np.where(smooth, holds + (fails - holds) * (node + 1.0) / (count + 1), np.nan)
 
 
-@lru_cache(maxsize=16)  # one entry per tree depth from _GUESS_DEPTH to 10
-def _stencil(count: int) -> tuple:
-    """For trees of ``count`` nodes, with nodes numbered from the holds end, and for
-    each count k = 0 ... count of nodes where the margin is positive: the columns of
-    ``_tree`` holding the ``_STENCIL`` nodes around node k, and the one holding the
-    node just outside them (before them, unless they start at node 0), which of the
-    two that is, the first node of the stencil, and the stencil's u of node k - 1 (or
-    the holds end); and the matrix taking a polynomial's values at ``_STENCIL`` even
-    steps from u = -1 to 1 to its coefficients of u^0 ... u^11, those of its
-    derivative, and its values one step before and one step after."""
-    ends, mids = [np.zeros(1), np.ones(1)], []  # the tree of [0, 1], as _tree builds it
-    for _ in range(count.bit_length()):
-        mids.append(0.5 * (ends[0] + ends[1]))
-        ends = [np.concatenate([mids[-1], ends[0]]), np.concatenate([ends[1], mids[-1]])]
-    order = np.argsort(np.concatenate(mids))  # node j at (j + 1) / (count + 1)
-    k = np.arange(count + 1)
-    first = np.clip(k - _STENCIL // 2, 0, count - _STENCIL)
-    after = first == 0  # no node before the stencil
-    outside = order[np.where(after, first + _STENCIL, first - 1)]
-    u_lo = (2.0 * (k - 1 - first) - (_STENCIL - 1)) / (_STENCIL - 1)
+def _fit() -> np.ndarray:
+    """The matrix taking a polynomial's values at ``_STENCIL`` even steps from u = -1 to
+    1 to its coefficients of u^0 ... u^11, those of its derivative, and its values one
+    step before and one step after."""
     u = np.linspace(-1.0, 1.0, _STENCIL)
     others = [np.delete(u, i) for i in range(_STENCIL)]  # row i: node i's Lagrange polynomial
     basis = np.array([np.poly(x)[::-1] / np.prod(ui - x) for ui, x in zip(u, others)])
-    slope = np.zeros_like(basis)
-    slope[:, :-1] = basis[:, 1:] * np.arange(1, _STENCIL)
+    slope = np.hstack([basis[:, 1:] * np.arange(1, _STENCIL), np.zeros((_STENCIL, 1))])
     step = 2.0 / (_STENCIL - 1)
     beyond = np.vander([-1.0 - step, 1.0 + step], _STENCIL, increasing=True)
-    tables = (
-        order[first[:, None] + np.arange(_STENCIL)], outside, after.astype(int), first, u_lo,
-        np.hstack([basis, slope, basis @ beyond.T]),
-    )
-    for table in tables:  # every caller shares them
-        table.setflags(write=False)
-    return tables
+    return np.hstack([basis, slope, basis @ beyond.T])
+
+
+_FIT = _fit()
 
 
 def _path(holds, fails, left, guess, rows):

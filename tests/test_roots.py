@@ -100,6 +100,13 @@ class TestBisectPredicate:
             holds, fails = (0.0, 1e-300) if at_zero else (1e-300, 0.0)
             self._compare(lambda x, i: (x < edge) == at_zero, holds, fails)
 
+    def test_brackets_across_zero_halve_toward_it_once_an_end_lands_there(self):
+        # a bracket whose midpoint is 0 takes that end's line of halvings from then on
+        for edge in (0.0, 1e-300, -1e-300, 1e-30, -1e-30, 5e-324, -5e-324, 0.3, -0.3):
+            for holds, fails in ((-1.0, 1.0), (1.0, -1.0), (-3.0, 1.0)):
+                calls = self._compare(lambda x, i: (x <= edge) == (holds < fails), holds, fails)
+                assert len(calls) <= 4, (edge, holds, fails)
+
     def test_brackets_narrower_than_the_tolerance_still_take_one_step(self):
         holds = np.array([1.0, 2.0, 5.0, 0.3])
         fails = holds * (1.0 + np.array([1e-9, -1e-8, 1e-7, 5e-7]))
@@ -223,6 +230,86 @@ class TestGuessedBisection:
         rng = np.random.default_rng(11)
         edges, holds, fails, flip = self._draw(rng, 60)
         self._compare(lambda x, i: (x < edges[i]) == (flip[i] > 0), holds, fails)
+
+
+class TestTreeValues:
+    """What a bracket's tree gives, whatever the order of its nodes within a call: the
+    midpoints of its own bisection, and margins on them from which ``_guess`` reaches
+    a smooth edge and refuses a kinked one."""
+
+    _compare = staticmethod(TestBisectPredicate._compare)
+
+    @staticmethod
+    def _guesses(monkeypatch):
+        """Records (holds, fails, guesses) of every ``_guess`` call."""
+        true, seen = roots._guess, []
+
+        def recorded(holds, fails, margin):
+            guess = true(holds, fails, margin)
+            seen.append((holds.copy(), fails.copy(), guess.copy()))
+            return guess
+
+        monkeypatch.setattr(roots, "_guess", recorded)
+        return seen
+
+    @staticmethod
+    def _draw(rng, size):
+        """Brackets [h, 2h] in either order, and edges at fractions t of them: some in
+        the first and some in the last sixteenth, the node intervals k = 0 and
+        k = count of a four-level tree."""
+        lows = 10.0 ** rng.uniform(-6.0, 1.0, size)
+        t = rng.uniform(0.01, 0.99, size)
+        t[:10], t[10:20] = rng.uniform(0.002, 0.06, 10), rng.uniform(0.94, 0.998, 10)
+        flip = rng.random(size) < 0.5  # holds at 2h, above the edge
+        holds, fails = np.where(flip, 2.0 * lows, lows), np.where(flip, lows, 2.0 * lows)
+        return holds, fails, lows * (1.0 + t), np.where(flip, -1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            lambda x, edge: np.log(edge / x) * (1.0 + 0.3 * x),
+            lambda x, edge: (edge - x) * (1.0 + x / edge + (x / edge) ** 2),  # a cubic
+            lambda x, edge: edge - x,
+        ],
+        ids=["log", "cubic", "linear"],
+    )
+    def test_guesses_reach_smooth_edges(self, shape, monkeypatch):
+        seen = self._guesses(monkeypatch)
+        holds, fails, edges, sign = self._draw(np.random.default_rng(12), 60)
+        self._compare(lambda x, i: sign[i] * shape(x, edges[i]), holds, fails)
+        assert len(seen) == 1  # every bracket guesses from the first call's tree
+        (h, f, guess), = seen
+        assert h.tobytes() == holds.tobytes() and f.tobytes() == fails.tobytes()
+        assert np.all(np.abs(guess - edges) <= 1e-8 * np.abs(f - h))
+
+    def test_a_kink_in_the_stencil_drops_the_guess(self, monkeypatch):
+        # kinked at 0.3 of [h, 2h], among the stencil's nodes, with the edge at 0.7
+        seen = self._guesses(monkeypatch)
+        rng = np.random.default_rng(13)
+        lows = 10.0 ** rng.uniform(-6.0, 1.0, 60)
+        edges, kinks = 1.7 * lows, 1.3 * lows
+        self._compare(lambda x, i: edges[i] - x + 3.0 * np.maximum(0.0, kinks[i] - x), lows, 2.0 * lows)
+        (h, f, guess), = seen
+        assert h.size == 60 and np.all(np.isnan(guess))
+
+    @pytest.mark.parametrize("depth", range(1, 11))
+    def test_a_tree_tests_the_midpoints_of_its_levels(self, depth, monkeypatch):
+        # one bracket tests `depth` levels per call where the call holds 2^depth - 1 values
+        monkeypatch.setattr(roots, "_CALL_WIDTH", (1 << depth) - 1)
+        holds, fails = (0.1, 0.73) if depth % 2 else (2.9, 0.31)
+        calls = []
+
+        def pred(x, i):
+            calls.append(x.copy())
+            return x < 0.5
+
+        roots.bisect_predicate(pred, holds, fails)
+        brackets, want = [(holds, fails)], []
+        for _ in range(depth):  # every bracket the one-level bisection reaches, level by level
+            mids = [0.5 * (h + f) for h, f in brackets]
+            want += mids
+            brackets = [b for (h, f), m in zip(brackets, mids) for b in ((m, f), (h, m))]
+        assert sorted(calls[0].tolist()) == sorted(want)
 
 
 class TestFewPointBookkeeping:
