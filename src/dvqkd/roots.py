@@ -12,16 +12,15 @@ then tests in one call every midpoint the bisection would visit if the edge
 were there, and keeps those the predicate confirms: the guess saves calls,
 never moves a result.  ``ladder_search`` climbs a ladder of values to each
 point's first failing rung and bisects from there; a guess of each edge from
-elsewhere puts that path in its first call.  A search of up to ``_FEW`` points
-climbs, and up to ``_FEW`` guessed paths are built and walked, on Python
-floats: the same additions, halvings and comparisons as the numpy
-bookkeeping of wider calls, without numpy's fixed cost per call.
+elsewhere puts that path in its first call.  Up to ``_FEW`` guessed paths are
+built and walked on Python floats: the same additions, halvings and
+comparisons as the numpy bookkeeping of more, without numpy's fixed cost per
+call.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from typing import Callable
 
 import numpy as np
@@ -33,8 +32,8 @@ _GUESS_WIDTH = 4096  # ladder rungs or guessed-path values per call, unless more
 _GUESS_DEPTH = 4  # tree levels, so 15 nodes, of a margin that give a bracket its guess
 _STENCIL = 12  # nodes of the polynomial whose root is the guess
 _FIT_TOL = 1e-6  # largest miss of that polynomial next to its nodes, relative to the margin
-# points climbing, or guessed paths, up to which the bookkeeping runs on Python floats:
-# the climb's crossover with numpy (about 4 points, the paths' about 8)
+# guessed paths up to which _path builds and walks them on Python floats: floats cost
+# per path and numpy per call, and they cross at about 8 paths
 _FEW = 4
 
 
@@ -92,11 +91,9 @@ def ladder_search(test: Callable, ladder: np.ndarray, count: int, guess=None) ->
     of rungs around it.  Where the climb confirms that bracket, the bisection goes
     on from the path's last confirmed step: unguessed after a step the predicate
     disagreed with, still guessed where the width cut the path short.  So a guess
-    only chooses which values are tested, never a result.  Up to ``_FEW`` points
-    climb on Python floats (``_few_climb``).
+    only chooses which values are tested, never a result.
     """
-    climb = _climb if count > _FEW else _few_climb
-    first, holds, fails, left, guessed = climb(test, ladder, count, guess)
+    first, holds, fails, left, guessed = _climb(test, ladder, count, guess)
     _bisect(test, holds, fails, left, guessed, (left > 0).nonzero()[0])
     return first, holds, fails
 
@@ -133,57 +130,12 @@ def _climb(test, ladder, count, guess) -> tuple:
     return first, holds, fails, left, guessed
 
 
-def _few_climb(test, ladder, count, guess) -> tuple:
-    """``_climb`` on Python floats, for a few points: the same comparisons, point by
-    point and rung by rung."""
-    rungs, size = ladder.tolist(), ladder.size
-    holds, fails, left = np.empty(count), np.empty(count), np.zeros(count, dtype=int)
-    guessed, k, path = np.full(count, np.nan), [-1] * count, _NO_STEPS
-    if guess is not None:
-        up = rungs[0] < rungs[-1]
-        for i, g in enumerate(guess.tolist()):
-            # the rungs on the holds side of the guess, as _climb counts them (a NaN
-            # guess gets the bracket of the first or the last rung, which tests nothing)
-            k[i] = bisect_left(rungs, g) if up else size - bisect_left(rungs[::-1], g)
-            holds[i], fails[i], left[i] = _few_rungs(rungs, k[i])
-            if left[i]:
-                guessed[i] = g
-        path = _path(holds, fails, left, guessed, left.nonzero()[0])
-    first, which, rung = [size] * count, list(range(count)), 0
-    while which and rung < size:
-        step = rungs[rung : rung + max(1, _GUESS_WIDTH // len(which))]
-        values, elements, settle = path
-        path, tested = _NO_STEPS, len(which) * len(step)
-        x = np.concatenate([step * len(which), values])
-        out = test(x, np.concatenate([np.repeat(which, len(step)), elements]))
-        settle(out[tested:])
-        ok, climbing = (out[:tested] > 0.0).tolist(), []
-        for at, i in enumerate(which):
-            row = ok[at * len(step) : (at + 1) * len(step)]
-            if all(row):
-                climbing.append(i)
-            else:
-                first[i] = rung + row.index(False)
-        which, rung = climbing, rung + len(step)
-    for i in range(count):
-        if first[i] != k[i]:
-            holds[i], fails[i], left[i] = _few_rungs(rungs, first[i])
-            guessed[i] = math.nan
-    return np.array(first), holds, fails, left, guessed
-
-
 def _rungs(ladder, k) -> tuple:
     """(holds, fails, left) of the brackets of rungs ``k - 1`` and ``k``: the first or
     the last rung at both ends where k is 0 or ``ladder.size``; ``_MAX_STEPS`` steps
     left where ``wide``, else none."""
     holds, fails = ladder[np.maximum(k - 1, 0)], ladder[np.minimum(k, ladder.size - 1)]
     return holds, fails, _MAX_STEPS * wide(holds, fails)
-
-
-def _few_rungs(rungs, k) -> tuple:
-    """``_rungs`` of one point, on a list of Python floats."""
-    holds, fails = rungs[max(k - 1, 0)], rungs[min(k, len(rungs) - 1)]
-    return holds, fails, _MAX_STEPS * _wide_float(holds, fails)
 
 
 def _wide_float(holds: float, fails: float) -> bool:

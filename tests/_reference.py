@@ -533,6 +533,26 @@ def search_mu_max_doubling(pred: Callable, ts: np.ndarray) -> tuple[np.ndarray, 
     return mu_max, feasible
 
 
+def ladder_search_one_rung(test: Callable, ladder: np.ndarray, count: int) -> tuple:
+    """``roots.ladder_search`` climbing one rung per call and bisecting one level per
+    call: (first, holds, fails) of ``count`` points, ``test(x, i)`` a predicate or a
+    real margin at values x of points i.  Serves any monotone ladder, the descending
+    T ladder of ``t_min_numeric`` as well as the mu ladder."""
+    first, which = np.full(count, ladder.size), np.arange(count)  # which: still climbing
+    for rung, x in enumerate(ladder.tolist()):
+        if not which.size:
+            break
+        ok = test(np.full(which.size, x), which) > 0.0
+        first[which[~ok]] = rung
+        which = which[ok]
+    holds, fails = ladder[np.maximum(first - 1, 0)], ladder[np.minimum(first, ladder.size - 1)]
+    rest = np.flatnonzero(np.abs(fails - holds) > REL_TOL * np.maximum(np.abs(holds), np.abs(fails)))
+    holds[rest], fails[rest] = bisect_predicate_one_level(
+        lambda mid: test(mid, rest) > 0.0, holds[rest], fails[rest]
+    )
+    return first, holds, fails
+
+
 # The Monte Carlo block samplers drawing every random number of the full arrays,
 # verbatim; ``montecarlo.simulate`` skips only draws that cannot change a count
 # and must return the same estimates bit for bit.

@@ -452,7 +452,7 @@ class TestBisectionLevels:
     @pytest.mark.parametrize("criterion", boundary.CRITERIA)
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_one_point_searches_match_the_one_level_search(self, variant, criterion):
-        # one point climbs, and its few guessed paths walk, on Python floats
+        # one point climbs on numpy, and its few guessed paths walk on Python floats
         rng = np.random.default_rng(
             [19, self.VARIANTS.index(variant), boundary.CRITERIA.index(criterion)]
         )
@@ -465,6 +465,16 @@ class TestBisectionLevels:
             assert np.array([got or 0.0]).tobytes() == want_mu_max.tobytes(), params
             t_min, want = boundary.t_min_numeric(params), ref.t_min_numeric_one_level(params)
             assert repr(t_min) == repr(want), params
+
+    @pytest.mark.parametrize("criterion", boundary.CRITERIA)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_an_empty_grid_takes_no_predicate_call(self, variant, criterion, monkeypatch):
+        calls = self._counting(monkeypatch)
+        rng = np.random.default_rng([23, self.VARIANTS.index(variant), boundary.CRITERIA.index(criterion)])
+        for _ in range(4):
+            params = TestMonotoneInMu._draw(rng, variant)
+            curve = boundary.sweep(params, criterion, [])
+            assert curve.points == () and calls == [], params
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_t_min_takes_at_most_three_predicate_calls(self, variant, monkeypatch):

@@ -313,10 +313,10 @@ class TestTreeValues:
 
 
 class TestFewPointBookkeeping:
-    """Up to ``roots._FEW`` guessed paths or climbing points keep their books on Python
-    floats, more on numpy arrays.  Fed the same brackets, guesses and criterion outputs,
-    both test the same values of the same elements, and settle the same brackets, steps
-    left and dropped guesses, bit for bit."""
+    """Up to ``roots._FEW`` guessed paths keep their books on Python floats, more on
+    numpy arrays.  Fed the same brackets, guesses and criterion outputs, both test the
+    same values of the same elements, and settle the same brackets, steps left and
+    dropped guesses, bit for bit."""
 
     LADDER = boundary._LADDER
     BRACKETS = {  # (holds, fails, steps left)
@@ -388,8 +388,14 @@ class TestFewPointBookkeeping:
             for got, want in zip(floats, arrays):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (chosen, rule)
 
+
+class TestLadderSearch:
+    """``ladder_search`` climbs many rungs per call, and its first call also tests the
+    path of a guess; each point must end as a climb of one rung per call followed by
+    the bisection of one level per call ends it, bit for bit, whatever the guess."""
+
     @pytest.mark.parametrize("ladder", ["mu", "T"])
-    def test_climbs_agree(self, ladder):
+    def test_points_match_the_one_rung_climb(self, ladder):
         rungs = {"mu": boundary._LADDER, "T": boundary._T_LADDER}[ladder]
         up = rungs[0] < rungs[-1]
         rng = np.random.default_rng([4, int(up)])
@@ -410,17 +416,8 @@ class TestFewPointBookkeeping:
                 "inf": np.full(count, np.inf), "0": np.zeros(count),
             }
             for name, test in tests.items():
-                for guess in guesses.values():
-                    runs = []
-                    for climb in (roots._few_climb, roots._climb):
-                        calls = []
-
-                        def recorded(x, i):
-                            calls.append((x.tobytes(), i.tolist()))
-                            return test(x, i)
-
-                        runs.append((climb(recorded, rungs, count, guess), calls))
-                    (got, got_calls), (want, want_calls) = runs
-                    assert got_calls == want_calls, (count, name)
+                want = ref.ladder_search_one_rung(test, rungs, count)
+                for guess_name, guess in guesses.items():
+                    got = roots.ladder_search(test, rungs, count, guess)
                     for g, w in zip(got, want):
-                        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (count, name)
+                        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (count, name, guess_name)
